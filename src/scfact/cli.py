@@ -9,7 +9,6 @@ all numbers are decimal doubles.  Commands are deterministic for a given
 
 from __future__ import annotations
 
-import sys
 from random import Random
 from typing import Optional
 
@@ -82,21 +81,15 @@ def _parse_complex(text: str) -> complex:
     raise click.UsageError(f"cannot parse complex value {text!r}; use 're,im'")
 
 
-class _Output:
-    def __init__(self, path: Optional[str]):
-        self.path = path
-
-    def __enter__(self):
-        if self.path is None or self.path == "-":
-            self.handle = None
-            return sys.stdout
-        self.handle = open(self.path, "w", encoding="utf-8", newline="")
-        return self.handle
-
-    def __exit__(self, *exc):
-        if self.handle is not None:
-            self.handle.close()
-        return False
+def _output(path: Optional[str]):
+    """The ``--out`` destination, stdout for none or ``-``; a path that cannot
+    be opened exits 1 with a one-line message."""
+    if path is None or path == "-":
+        return click.open_file("-", "w", encoding=None, errors=None)
+    try:
+        return click.open_file(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise click.ClickException(f"cannot write {path}: {exc.strerror or exc}")
 
 
 @click.group()
@@ -119,7 +112,7 @@ def simulate(file, init_text, steps, out, tol, seed):
         orbit = iterate_orbit(eq, init, steps)
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    with _Output(out) as fh:
+    with _output(out) as fh:
         write_orbit_csv(orbit, fh)
     total = len(orbit.full_sequence)
     detected = detect_period(orbit, tol or 1e-5, min(64, max(1, (total - 2) // 2)))
@@ -152,13 +145,11 @@ def _build_sc_factorization(
     the full constant set for reporting."""
     kind = eq.kind
     try:
-        if isinstance(kind, SeparableAdditive):
+        if isinstance(kind, (SeparableAdditive, SeparableMultiplicative)):
             constants = solve_reduction_constant(eq, tol=tol)
             c = _choose_constant(constants, constant)
-            return factor_separable_additive(eq, c, validate=validate, tol=tol), constants
-        if isinstance(kind, SeparableMultiplicative):
-            constants = solve_reduction_constant(eq, tol=tol)
-            c = _choose_constant(constants, constant)
+            if isinstance(kind, SeparableAdditive):
+                return factor_separable_additive(eq, c, validate=validate, tol=tol), constants
             return factor_separable_multiplicative(eq, c, validate=validate, tol=tol), constants
         if isinstance(kind, General):
             report = check_hd1(eq, samples=500, tol=1e-9, seed=seed)
@@ -168,9 +159,7 @@ def _build_sc_factorization(
                     f"(HD1 check failed with max residual {report.max_residual:.3e})"
                 )
             return factor_hd1(eq, seed=seed), None
-    except ConstantValidationError as exc:
-        raise click.ClickException(str(exc))
-    except FactorizationError as exc:
+    except (ConstantValidationError, FactorizationError) as exc:
         raise click.ClickException(str(exc))
     raise click.ClickException("linear equations use the triangular route")
 
@@ -185,7 +174,7 @@ def factor(file, constant, out, tol, seed):
     """Construct and print a semiconjugate factorization."""
     eq = _load(file)
     requested = _parse_complex(constant) if constant is not None else None
-    with _Output(out) as fh:
+    with _output(out) as fh:
         if isinstance(eq.kind, Linear):
             system = factor_linear_full(eq)
             fh.write(render_triangular_system(system) + "\n")
@@ -363,7 +352,7 @@ def bifurcate(file, fixes, sweep_spec, transient, keep, tol, out, seed):
         raise click.UsageError(str(exc.args[0]))
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    with _Output(out) as fh:
+    with _output(out) as fh:
         write_bifurcation_csv(data, fh)
     census = data.period_census()
     click.echo("period census:")

@@ -53,17 +53,6 @@ def _require_autonomous(eq: DifferenceEquation) -> None:
         raise ValueError("this analysis requires an autonomous equation")
 
 
-def _algebraic(eq: DifferenceEquation) -> DifferenceEquation:
-    # Fixed-point and derivative scans probe the map off the orbit carrier
-    # (boundaries, perturbed states), so they evaluate the general form,
-    # which does not enforce carrier membership.
-    return as_general(eq)
-
-
-def _diagonal_value(eq: DifferenceEquation, x: float) -> complex:
-    return eq.step([complex(x)] * eq.order, 0)
-
-
 @dataclass(frozen=True)
 class FixedPointScan:
     """Isolated real fixed points; ``dense`` flags a degenerate equation
@@ -87,14 +76,16 @@ def find_fixed_points(
     reported as dense instead of listing points.
     """
     _require_autonomous(eq)
-    eq = _algebraic(eq)
+    # The scan probes the map off the orbit carrier (boundaries, perturbed
+    # states), so it evaluates the general form, which enforces no carrier.
+    eq = as_general(eq)
     lo, hi = float(interval[0]), float(interval[1])
     if not hi > lo:
         raise ValueError("interval must be increasing")
 
     def g(x: float) -> Optional[float]:
         try:
-            v = _diagonal_value(eq, x)
+            v = eq.step([complex(x)] * eq.order, 0)
         except EvaluationError:
             return None
         if abs(v.imag) > 1e-9 * (1 + abs(v.real)):
@@ -169,7 +160,7 @@ def linearize_at(
     ``classification_tol`` of 1 non-hyperbolic.
     """
     _require_autonomous(eq)
-    eq = _algebraic(eq)
+    eq = as_general(eq)  # no carrier guards, as in find_fixed_points
     x_bar = float(x_bar)
     k1 = eq.order
     h = 1e-6 * (1 + abs(x_bar))

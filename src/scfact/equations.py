@@ -25,12 +25,14 @@ from __future__ import annotations
 import re as _re
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from math import exp as _math_exp
 from pathlib import Path
 from random import Random
 from typing import IO, Mapping, Optional, Sequence, Union
 
 from .expressions import (
+    Call,
     Const,
     DomainError,
     EvaluationError,
@@ -39,6 +41,7 @@ from .expressions import (
     as_expression,
     evaluate,
     format_expression,
+    lower,
     parse_expression,
     substitute,
 )
@@ -162,8 +165,9 @@ class DifferenceEquation:
     """Order-(k+1) scalar recurrence of one of the four kinds.
 
     ``order`` equals k+1, the number of initial values.  ``params`` maps
-    parameter names to complex scalars and is substituted at evaluation
-    time.  ``var`` is the display letter used when rendering.
+    parameter names to complex scalars, bound as constants when the trees
+    are lowered on first use.  ``var`` is the display letter used when
+    rendering.
     """
 
     order: int
@@ -218,50 +222,48 @@ class DifferenceEquation:
             raise ValueError(f"forcing uses unknown names {sorted(bad)}")
 
     # -- evaluation --------------------------------------------------
+    # Each tree is lowered once, on first use (see ``expressions.lower``).
+
+    @cached_property
+    def _rhs(self):
+        lags = tuple(f"x{j}" for j in range(self.order))
+        guard = _carrier_guard(self.group)
+        guards = {f"psi{j}": guard for j in range(self.order)}
+        return lower(_general_rhs(self, guarded=True), ("n",) + lags, self.params, guards)
+
+    @cached_property
+    def _forcing(self):
+        if isinstance(self.kind, General):
+            raise TypeError("general equations have no separate forcing term")
+        return lower(self.kind.forcing, ("n",), self.params)
+
+    @cached_property
+    def _components(self):
+        """The separable components, each a function of ``x``."""
+        return tuple(lower(comp, ("x",), self.params) for comp in self.kind.components)
 
     def forcing_at(self, n: int) -> complex:
-        kind = self.kind
-        if isinstance(kind, General):
-            raise TypeError("general equations have no separate forcing term")
-        env = dict(self.params)
-        env["n"] = complex(n)
-        return evaluate(kind.forcing, env)
+        return self._forcing(complex(n))
 
     def step(self, history: Sequence[complex], n: int) -> complex:
         """Next value from ``history`` given NEWEST first:
-        ``history[j] = x_{n-j}``."""
-        kind = self.kind
-        if isinstance(kind, General):
-            env = dict(self.params)
-            env["n"] = complex(n)
-            for j in range(self.order):
-                env[f"x{j}"] = complex(history[j])
-            return evaluate(kind.rhs, env)
-        if isinstance(kind, Linear):
-            total = self.forcing_at(n)
-            for b, x in zip(kind.coefficients, history):
-                total -= b * complex(x)
-            return total
-        if isinstance(kind, SeparableAdditive):
-            total = self.forcing_at(n)
-            env = dict(self.params)
-            for comp, x in zip(kind.components, history):
-                env["x"] = complex(x)
-                total += evaluate(comp, env)
-            return total
-        # separable multiplicative
-        total = self.forcing_at(n)
-        env = dict(self.params)
-        for j, (comp, x) in enumerate(zip(kind.components, history)):
-            env["x"] = complex(x)
-            value = evaluate(comp, env)
-            if not self.group.contains(value):
-                raise CarrierError(
-                    f"component psi{j} produced {value!r}, outside the group carrier",
-                    comp,
-                )
-            total *= value
-        return total
+        ``history[j] = x_{n-j}``, one value per lag."""
+        return self._rhs(complex(n), *map(complex, history))
+
+
+def _carrier_guard(group: GroupTag):
+    """Call helper that passes a separable-multiplicative component's value
+    on, or raises :class:`CarrierError` when it leaves the carrier."""
+
+    def guard(value: complex, node: Call) -> complex:
+        if not group.contains(value):
+            raise CarrierError(
+                f"component {node.func} produced {value!r}, outside the group carrier",
+                node.arg,
+            )
+        return value
+
+    return guard
 
 
 # ----------------------------------------------------------------------
@@ -299,24 +301,31 @@ def separable_multiplicative_equation(components, forcing="1", params=None, grou
 # ----------------------------------------------------------------------
 
 
-def as_general(eq: DifferenceEquation) -> DifferenceEquation:
-    """Rewrite any kind as a general right-hand side over ``x0..xk``."""
+def _general_rhs(eq: DifferenceEquation, guarded: bool = False) -> Expression:
+    """The right-hand side over ``x0..xk``.  ``guarded`` wraps each
+    multiplicative component in a call ``psi{j}(...)`` for the carrier guard."""
     kind = eq.kind
     if isinstance(kind, General):
-        return eq
+        return kind.rhs
+    rhs: Expression = kind.forcing
     if isinstance(kind, Linear):
-        rhs: Expression = kind.forcing
         for j, b in enumerate(kind.coefficients):
             rhs = rhs - Const(b) * Var(f"x{j}")
-    elif isinstance(kind, SeparableAdditive):
-        rhs = kind.forcing
-        for j, comp in enumerate(kind.components):
-            rhs = rhs + substitute(comp, {"x": Var(f"x{j}")})
-    else:
-        rhs = kind.forcing
-        for j, comp in enumerate(kind.components):
-            rhs = rhs * substitute(comp, {"x": Var(f"x{j}")})
-    return DifferenceEquation(eq.order, eq.group, General(rhs), eq.params, eq.name, eq.var)
+        return rhs
+    for j, comp in enumerate(kind.components):
+        term = substitute(comp, {"x": Var(f"x{j}")})
+        if isinstance(kind, SeparableAdditive):
+            rhs = rhs + term
+        else:
+            rhs = rhs * (Call(f"psi{j}", term) if guarded else term)
+    return rhs
+
+
+def as_general(eq: DifferenceEquation) -> DifferenceEquation:
+    """Rewrite any kind as a general right-hand side over ``x0..xk``."""
+    if isinstance(eq.kind, General):
+        return eq
+    return DifferenceEquation(eq.order, eq.group, General(_general_rhs(eq)), eq.params, eq.name, eq.var)
 
 
 def as_separable_additive(eq: DifferenceEquation) -> DifferenceEquation:
@@ -380,23 +389,21 @@ def iterate_orbit(eq: DifferenceEquation, init: Sequence[complex], steps: int) -
         for v in init:
             if not eq.group.contains(v):
                 raise ValueError(f"initial value {v!r} is outside the group carrier")
-    history = list(reversed(init))  # newest first
-    values: list[complex] = []
+    seq = list(init)  # oldest first; seq[:-k1 - 1:-1] is the newest-first window
+    k1 = eq.order
     truncated_at = None
     reason = None
     for n in range(steps):
         try:
-            v = eq.step(history, n)
+            v = eq.step(seq[:-k1 - 1:-1], n)
             if not eq.group.is_additive and not eq.group.contains(v):
                 raise CarrierError(f"value {v!r} left the group carrier")
         except (DomainError, EvaluationError) as exc:
             truncated_at = n + 1
             reason = str(exc)
             break
-        values.append(v)
-        history.insert(0, v)
-        history.pop()
-    return Orbit(init, tuple(values), truncated_at, reason, eq.name, eq.params)
+        seq.append(v)
+    return Orbit(init, tuple(seq[k1:]), truncated_at, reason, eq.name, eq.params)
 
 
 def detect_period(

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from functools import cached_property
 from random import Random
 from typing import Optional, Sequence, Union
 
@@ -42,9 +43,9 @@ from .expressions import (
     EvaluationError,
     Expression,
     Var,
-    evaluate,
     format_complex,
     format_expression,
+    lower,
     substitute,
 )
 from .polynomials import (
@@ -57,11 +58,10 @@ from .symmetry import (
     FormSymmetry,
     Inversion,
     UnaryComponents,
-    _additive_probe_polys,
-    _multiplicative_probe_polys,
     build_additive_form_symmetry,
     build_multiplicative_form_symmetry,
     evaluate_form_symmetry,
+    probe_set,
 )
 
 __all__ = [
@@ -108,6 +108,12 @@ class ScFactorization:
     def m(self) -> int:
         return self.factor.order
 
+    @cached_property
+    def _cofactor(self):
+        """The cofactor lowered once, a function of ``(n, t, x0, ..., x{k-m})``."""
+        lags = tuple(f"x{j}" for j in range(self.cofactor_order))
+        return lower(self.cofactor, ("n", "t") + lags, self.source.params)
+
     @property
     def cofactor_order(self) -> int:
         return self.source.order - self.factor.order
@@ -123,6 +129,15 @@ class ScFactorization:
         return tuple(reversed(outputs))
 
 
+def _check_shapes(eq: DifferenceEquation, symmetry: FormSymmetry, factor: DifferenceEquation):
+    if symmetry.input_arity != eq.order:
+        raise ValueError(
+            f"symmetry consumes {symmetry.input_arity} states, equation holds {eq.order}"
+        )
+    if factor.order != symmetry.m:
+        raise ValueError("factor order must equal the symmetry's output count")
+
+
 def make_factorization(
     eq: DifferenceEquation, symmetry: FormSymmetry, factor: DifferenceEquation
 ) -> ScFactorization:
@@ -132,12 +147,7 @@ def make_factorization(
     in the group's notation (difference for additive groups, quotient for
     multiplicative ones).
     """
-    if symmetry.input_arity != eq.order:
-        raise ValueError(
-            f"symmetry consumes {symmetry.input_arity} states, equation holds {eq.order}"
-        )
-    if factor.order != symmetry.m:
-        raise ValueError("factor order must equal the symmetry's output count")
+    _check_shapes(eq, symmetry, factor)
     additive = eq.group.is_additive
     t = Var("t")
     shape = symmetry.shape
@@ -230,15 +240,12 @@ def factor_separable_additive(
     c = symmetry.constant
     k = eq.order - 1
     if k >= 1:
-        h_k = symmetry.shape.components[-1]
-        phi_k = eq.kind.components[-1]
-        env = dict(eq.params)
+        h_k = symmetry._maps[-1]
+        phi_k = eq._components[-1]
         worst = 0.0
-        for coeffs in _additive_probe_polys(eq):
-            z = coeffs[-1]  # probe point stored as the leading coefficient
-            env["x"] = z
-            lhs = c * evaluate(h_k, env)
-            rhs = evaluate(phi_k, env)
+        for z in probe_set(eq).points:
+            lhs = c * h_k(z)
+            rhs = phi_k(z)
             worst = max(worst, abs(lhs - rhs) / (1 + abs(rhs)))
         if worst > max(tol, 1e-9):
             raise FactorizationError(
@@ -263,12 +270,9 @@ def factor_separable_multiplicative(
     """
     symmetry = build_multiplicative_form_symmetry(eq, c, validate=validate, tol=tol)
     c = symmetry.constant
-    env = dict(eq.params)
-    for coeffs in _multiplicative_probe_polys(eq):
-        t = cmath.exp(-coeffs[-1])  # probe point recovered from -ln t
-        env["x"] = t
-        for j, comp in enumerate(symmetry.shape.components):
-            value = evaluate(comp, env)
+    for t in probe_set(eq).points:
+        for j, h in enumerate(symmetry._maps):
+            value = h(t)
             if value == 0 or not cmath.isfinite(value):
                 raise FactorizationError(
                     f"component h_{j + 1} leaves the carrier at t = {t.real:.4g}"
@@ -391,49 +395,12 @@ def factor_linear_full(
 # ----------------------------------------------------------------------
 
 
-def _reconstruct(
-    fact: ScFactorization,
-    factor_values: Sequence[complex],
-    init: Sequence[complex],
-    inherited: tuple[Optional[int], Optional[str]] = (None, None),
-) -> Orbit:
-    co = fact.cofactor_order
-    history = list(reversed([complex(v) for v in init]))
-    values: list[complex] = []
-    truncated_at, reason = inherited
-    for n, t_next in enumerate(factor_values):
-        env = dict(fact.source.params)
-        env["n"] = complex(n)
-        env["t"] = complex(t_next)
-        for j in range(co):
-            env[f"x{j}"] = history[j]
-        try:
-            x_next = evaluate(fact.cofactor, env)
-        except EvaluationError as exc:
-            truncated_at, reason = n + 1, str(exc)
-            break
-        values.append(x_next)
-        history.insert(0, x_next)
-        history.pop()
-    return Orbit(
-        tuple(complex(v) for v in init),
-        tuple(values),
-        truncated_at,
-        reason,
-        fact.source.name,
-        fact.source.params,
-    )
-
-
 def simulate_factorization(
     fact: ScFactorization, init: Sequence[complex], steps: int
 ) -> tuple[Orbit, Orbit]:
     """Run the factor equation from the transformed initial values, then
     rebuild the source orbit through the cofactor.  Returns both orbits."""
-    t_init = fact.factor_initial_values(init)
-    factor_orbit = iterate_orbit(fact.factor, t_init, steps)
-    inherited = (factor_orbit.truncated_at, factor_orbit.truncation_reason)
-    x_orbit = _reconstruct(fact, factor_orbit.values, init, inherited)
+    x_orbit, (factor_orbit,) = simulate_cascade((fact,), init, steps)
     return x_orbit, factor_orbit
 
 
@@ -456,8 +423,19 @@ def simulate_cascade(
         deeper: tuple[Orbit, ...] = ()
     else:
         t_orbit, deeper = simulate_cascade(stages[1:], t_init, steps)
-    inherited = (t_orbit.truncated_at, t_orbit.truncation_reason)
-    x_orbit = _reconstruct(head, t_orbit.values, init, inherited)
+    # Rebuild x through the cofactor; a truncated factor orbit truncates x.
+    cofactor, co = head._cofactor, head.cofactor_order
+    seq = [complex(v) for v in init]  # oldest first
+    truncated_at, reason = t_orbit.truncated_at, t_orbit.truncation_reason
+    for n, t_next in enumerate(t_orbit.values):
+        try:
+            seq.append(cofactor(complex(n), complex(t_next), *seq[:-co - 1:-1]))
+        except EvaluationError as exc:
+            truncated_at, reason = n + 1, str(exc)
+            break
+    k1 = len(init)
+    src = head.source
+    x_orbit = Orbit(tuple(seq[:k1]), tuple(seq[k1:]), truncated_at, reason, src.name, src.params)
     return x_orbit, (t_orbit,) + deeper
 
 
@@ -502,12 +480,7 @@ def verify_semiconjugacy(
     at random time indices.  Domain errors are resampled within a 10x
     budget.  Works for user-supplied symmetries of any type (m, k+1-m).
     """
-    if symmetry.input_arity != eq.order:
-        raise ValueError(
-            f"symmetry consumes {symmetry.input_arity} states, equation holds {eq.order}"
-        )
-    if factor.order != symmetry.m:
-        raise ValueError("factor order must equal the symmetry's output count")
+    _check_shapes(eq, symmetry, factor)
     rng = Random(seed)
     group = eq.group
     tested = 0

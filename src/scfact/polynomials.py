@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
 from .equations import DifferenceEquation, Linear
-from .expressions import Expression, evaluate
+from .expressions import Expression, lower
 
 __all__ = [
     "Polynomial",
@@ -306,7 +306,8 @@ SequenceSpec = Union[Sequence[complex], Callable[[int], complex], Expression]
 
 def _as_sequence_function(s: SequenceSpec) -> Callable[[int], complex]:
     if isinstance(s, Expression):
-        return lambda m: evaluate(s, {"n": complex(m)})
+        term = lower(s, ("n",))
+        return lambda m: term(complex(m))
     if callable(s):
         return lambda m: complex(s(m))
     seq = s

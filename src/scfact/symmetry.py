@@ -27,6 +27,8 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass, field
+from functools import cached_property
+from math import exp
 from random import Random
 from typing import Mapping, Optional, Sequence, Union
 
@@ -43,9 +45,9 @@ from .expressions import (
     EvaluationError,
     Expression,
     Var,
-    evaluate,
+    lower,
 )
-from .polynomials import characteristic_polynomial, find_roots
+from .polynomials import Polynomial, characteristic_polynomial, find_roots
 
 __all__ = [
     "Inversion",
@@ -56,6 +58,7 @@ __all__ = [
     "ReductionConstant",
     "ReductionConstantSet",
     "GridSpec",
+    "ProbeSet",
     "SymmetryError",
     "ConstantValidationError",
     "check_hd1",
@@ -63,6 +66,7 @@ __all__ = [
     "build_additive_form_symmetry",
     "build_multiplicative_form_symmetry",
     "evaluate_form_symmetry",
+    "probe_set",
     "additive_reduction_residual",
     "multiplicative_reduction_residual",
 ]
@@ -132,6 +136,17 @@ class FormSymmetry:
         if self.m < 1:
             raise ValueError("m must be at least 1")
 
+    @cached_property
+    def _maps(self) -> tuple:
+        """The shape's expressions, each lowered once: ``h_j(x)`` for unary
+        components, ``h(x0, ..., x{arity-1})`` for a general map."""
+        if isinstance(self.shape, UnaryComponents):
+            return tuple(lower(h, ("x",), self.params) for h in self.shape.components)
+        if isinstance(self.shape, GeneralMap):
+            args = tuple(f"x{idx}" for idx in range(self.shape.arity))
+            return (lower(self.shape.h, args, self.params),)
+        return ()
+
     @property
     def input_arity(self) -> int:
         """Number of states H consumes (= k+1 of the source equation)."""
@@ -161,19 +176,16 @@ def evaluate_form_symmetry(
             group.combine(point[j - 1], group.invert(point[j]))
             for j in range(1, symmetry.m + 1)
         )
-    env = dict(symmetry.params)
     if isinstance(shape, UnaryComponents):
         acc = point[0]
-        for j, comp in enumerate(shape.components, start=1):
-            env["x"] = point[j]
-            acc = group.combine(acc, evaluate(comp, env))
+        for j, h in enumerate(symmetry._maps, start=1):
+            acc = group.combine(acc, h(point[j]))
         return (acc,)
-    out = []
-    for j in range(1, symmetry.m + 1):
-        for idx in range(shape.arity):
-            env[f"x{idx}"] = point[j + idx]
-        out.append(group.combine(point[j - 1], evaluate(shape.h, env)))
-    return tuple(out)
+    (h,) = symmetry._maps
+    return tuple(
+        group.combine(point[j - 1], h(*point[j:j + shape.arity]))
+        for j in range(1, symmetry.m + 1)
+    )
 
 
 # ----------------------------------------------------------------------
@@ -290,102 +302,83 @@ class GridSpec:
     step: float = 0.25
 
 
-def _horner(coeffs: Sequence[complex], z: complex) -> complex:
-    acc = 0j
-    for c in reversed(coeffs):
-        acc = acc * z + c
-    return acc
+@dataclass(frozen=True)
+class ProbeSet:
+    """Probe points of a separable equation and, per point, the residual
+    polynomial of the reduction identity in ``c`` (ascending).
+
+    Additive, per complex z: ``[-phi_k(z), ..., -phi_0(z), z]``.
+    Multiplicative, log domain, per t > 0: ``[ln psi_k(t), ..., ln psi_0(t), -ln t]``.
+    """
+
+    points: tuple[complex, ...]
+    polys: tuple[Polynomial, ...]
 
 
-def _derive(coeffs: Sequence[complex]) -> list[complex]:
-    return [j * c for j, c in enumerate(coeffs) if j > 0]
+def probe_set(eq: DifferenceEquation) -> ProbeSet:
+    """The equation's probe set, built on first use and kept on ``eq``."""
+    probes = eq.__dict__.get("_probe_set")
+    if probes is None:
+        probes = _build_probe_set(eq)
+        object.__setattr__(eq, "_probe_set", probes)
+    return probes
 
 
-def _component_values(eq: DifferenceEquation, z: complex) -> list[complex]:
-    env = dict(eq.params)
-    out = []
-    for comp in eq.kind.components:
-        env["x"] = z
-        out.append(evaluate(comp, env))
-    return out
-
-
-def _additive_probe_polys(eq: DifferenceEquation, count: int = _PROBE_COUNT):
-    """Per probe point z, the residual polynomial in c (ascending):
-    ``[-phi_k(z), ..., -phi_0(z), z]``."""
+def _build_probe_set(eq: DifferenceEquation, count: int = _PROBE_COUNT) -> ProbeSet:
+    kind = eq.kind
+    if not isinstance(kind, (SeparableAdditive, SeparableMultiplicative)):
+        raise TypeError("reduction residuals require a separable equation")
+    additive = isinstance(kind, SeparableAdditive)
     rng = Random(_PROBE_SEED)
-    polys = []
+    points: list[complex] = []
+    polys: list[Polynomial] = []
     attempts = 0
     while len(polys) < count and attempts < count * 10:
         attempts += 1
-        z = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
-        if abs(z) < 0.1:
-            continue
+        if additive:
+            z = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+            if abs(z) < 0.1:
+                continue
+        else:
+            z = complex(exp(rng.uniform(-3, 3)))
         try:
-            phis = _component_values(eq, z)
+            values = [comp(z) for comp in eq._components]
         except EvaluationError:
             continue
-        coeffs = [-phi for phi in reversed(phis)] + [z]
-        if not all(_isfinite(c) for c in coeffs):
-            continue
-        polys.append(coeffs)
+        if additive:
+            coeffs = [-v for v in reversed(values)] + [z]
+            if not all(cmath.isfinite(c) for c in coeffs):
+                continue
+        else:
+            if any(v == 0 or not cmath.isfinite(v) for v in values):
+                continue
+            coeffs = [cmath.log(v) for v in reversed(values)] + [-cmath.log(z)]
+            if max(abs(c) for c in coeffs) < 1e-9:
+                continue  # degenerate point (t too close to a common fixed value)
+        points.append(z)
+        polys.append(Polynomial(coeffs))
     if len(polys) < count:
         raise SymmetryError("could not assemble probe points for the components")
-    return polys
+    return ProbeSet(tuple(points), tuple(polys))
 
 
-def _multiplicative_probe_polys(eq: DifferenceEquation, count: int = _PROBE_COUNT):
-    """Log-domain residual polynomial per probe t > 0 (ascending):
-    ``[ln psi_k(t), ..., ln psi_0(t), -ln t]``."""
-    from math import exp
-
-    rng = Random(_PROBE_SEED)
-    polys = []
-    attempts = 0
-    while len(polys) < count and attempts < count * 10:
-        attempts += 1
-        t = complex(exp(rng.uniform(-3, 3)))
-        try:
-            psis = _component_values(eq, t)
-        except EvaluationError:
-            continue
-        if any(v == 0 or not _isfinite(v) for v in psis):
-            continue
-        logs = [cmath.log(v) for v in psis]
-        coeffs = list(reversed(logs)) + [-cmath.log(t)]
-        if max(abs(c) for c in coeffs) < 1e-9:
-            continue  # degenerate point (t too close to a common fixed value)
-        polys.append(coeffs)
-    if len(polys) < count:
-        raise SymmetryError("could not assemble probe points for the components")
-    return polys
-
-
-def _isfinite(v: complex) -> bool:
-    return cmath.isfinite(v)
-
-
-def _probe_polys(eq: DifferenceEquation):
-    if isinstance(eq.kind, SeparableAdditive):
-        return _additive_probe_polys(eq)
-    if isinstance(eq.kind, SeparableMultiplicative):
-        return _multiplicative_probe_polys(eq)
-    raise TypeError("reduction residuals require a separable equation")
-
-
-def _max_residual(polys, c: complex) -> float:
-    return max(abs(_horner(p, c)) for p in polys)
+def _max_residual(polys: Sequence[Polynomial], c: complex) -> float:
+    return max(abs(p(c)) for p in polys)
 
 
 def additive_reduction_residual(eq: DifferenceEquation, c: complex) -> float:
     """Max over the probe points of ``|c^{k+1} z - sum c^{k-j} phi_j(z)|``."""
-    return _max_residual(_additive_probe_polys(eq), complex(c))
+    if not isinstance(eq.kind, SeparableAdditive):
+        raise TypeError("additive residuals require a separable-additive equation")
+    return _max_residual(probe_set(eq).polys, complex(c))
 
 
 def multiplicative_reduction_residual(eq: DifferenceEquation, c: complex) -> float:
     """Max over probe points t > 0 of the log-domain identity residual
     ``|sum c^{k-j} ln psi_j(t) - c^{k+1} ln t|``."""
-    return _max_residual(_multiplicative_probe_polys(eq), complex(c))
+    if not isinstance(eq.kind, SeparableMultiplicative):
+        raise TypeError("multiplicative residuals require a separable-multiplicative equation")
+    return _max_residual(probe_set(eq).polys, complex(c))
 
 
 def _gauss_newton(polys, derivs, c: complex, iterations: int = 80) -> complex:
@@ -393,8 +386,8 @@ def _gauss_newton(polys, derivs, c: complex, iterations: int = 80) -> complex:
         num = 0j
         den = 0.0
         for p, dp in zip(polys, derivs):
-            r = _horner(p, c)
-            g = _horner(dp, c)
+            r = p(c)
+            g = dp(c)
             num += g.conjugate() * r
             den += abs(g) ** 2
         if den == 0:
@@ -406,22 +399,23 @@ def _gauss_newton(polys, derivs, c: complex, iterations: int = 80) -> complex:
     return c
 
 
-def _vanishing_order(coeffs: Sequence[complex], c: complex, cap: int) -> int:
-    cur = list(coeffs)
+def _vanishing_order(p: Polynomial, c: complex, cap: int) -> int:
     order = 0
-    while order <= cap and cur:
-        scale = sum(abs(a) * max(1.0, abs(c)) ** idx for idx, a in enumerate(cur))
+    while order <= cap:
+        scale = sum(abs(a) * max(1.0, abs(c)) ** idx for idx, a in enumerate(p.coefficients))
         if scale < 1e-12:
             return cap + 1  # effectively the zero polynomial: uninformative
-        if abs(_horner(cur, c)) > 1e-6 * scale:
+        if abs(p(c)) > 1e-6 * scale:
             return order
-        cur = _derive(cur)
         order += 1
+        if p.degree == 0:
+            break  # the next derivative is zero
+        p = p.derivative()
     return order
 
 
 def _common_multiplicity(polys, c: complex) -> int:
-    cap = max(len(p) - 1 for p in polys)
+    cap = max(p.degree for p in polys)
     orders = [_vanishing_order(p, c, cap) for p in polys]
     informative = [o for o in orders if o <= cap]
     return max(1, min(informative)) if informative else 1
@@ -454,15 +448,15 @@ def solve_reduction_constant(
     if isinstance(eq.kind, General):
         raise TypeError("reduction constants require a linear or separable equation")
     grid = grid or GridSpec()
-    polys = _probe_polys(eq)
-    derivs = [_derive(p) for p in polys]
+    polys = probe_set(eq).polys
+    derivs = [p.derivative() for p in polys]
 
     res = int(round((grid.re_max - grid.re_min) / grid.step)) + 1
     ims = int(round((grid.im_max - grid.im_min) / grid.step)) + 1
     values = [
         [
             sum(
-                abs(_horner(p, complex(grid.re_min + a * grid.step, grid.im_min + b * grid.step))) ** 2
+                abs(p(complex(grid.re_min + a * grid.step, grid.im_min + b * grid.step))) ** 2
                 for p in polys
             )
             for b in range(ims)
@@ -476,18 +470,13 @@ def solve_reduction_constant(
             v = values[a][b]
             if not (v == v and v != float("inf")):
                 continue  # non-finite residual: skip the cell
-            is_min = True
-            for da in (-1, 0, 1):
-                for db in (-1, 0, 1):
-                    if da == 0 and db == 0:
-                        continue
-                    na, nb = a + da, b + db
-                    if 0 <= na < res and 0 <= nb < ims and values[na][nb] < v:
-                        is_min = False
-                        break
-                if not is_min:
-                    break
-            if is_min:
+            lower_neighbour = any(
+                values[na][nb] < v
+                for na in (a - 1, a, a + 1)
+                for nb in (b - 1, b, b + 1)
+                if 0 <= na < res and 0 <= nb < ims
+            )
+            if not lower_neighbour:
                 candidates.append(
                     complex(grid.re_min + a * grid.step, grid.im_min + b * grid.step)
                 )
@@ -495,7 +484,7 @@ def solve_reduction_constant(
     found: list[tuple[complex, float]] = []
     for start in candidates:
         c = _gauss_newton(polys, derivs, start)
-        if not _isfinite(c):
+        if not cmath.isfinite(c):
             continue
         residual = _max_residual(polys, c)
         if residual <= tol:
@@ -522,11 +511,12 @@ def solve_reduction_constant(
 # ----------------------------------------------------------------------
 
 
-def _validated(eq: DifferenceEquation, c: complex, tol: float, residual_fn) -> complex:
+def _validated(eq: DifferenceEquation, c: complex, validate: bool, tol: float, residual_fn) -> complex:
     c = complex(c)
-    residual = residual_fn(eq, c)
-    if residual > tol:
-        raise ConstantValidationError(c, residual, tol)
+    if validate:
+        residual = residual_fn(eq, c)
+        if residual > tol:
+            raise ConstantValidationError(c, residual, tol)
     return c
 
 
@@ -537,10 +527,7 @@ def build_additive_form_symmetry(
     for j = 1..k, assembled as expression trees."""
     if not isinstance(eq.kind, SeparableAdditive):
         raise TypeError("additive symmetry construction requires a separable-additive equation")
-    if validate:
-        c = _validated(eq, c, tol, additive_reduction_residual)
-    else:
-        c = complex(c)
+    c = _validated(eq, c, validate, tol, additive_reduction_residual)
     phis = eq.kind.components
     k = eq.order - 1
     components = []
@@ -561,10 +548,7 @@ def build_multiplicative_form_symmetry(
         raise TypeError(
             "multiplicative symmetry construction requires a separable-multiplicative equation"
         )
-    if validate:
-        c = _validated(eq, c, tol, multiplicative_reduction_residual)
-    else:
-        c = complex(c)
+    c = _validated(eq, c, validate, tol, multiplicative_reduction_residual)
     psis = eq.kind.components
     k = eq.order - 1
     components = []

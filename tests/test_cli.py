@@ -59,6 +59,33 @@ class TestSimulate:
         assert "period 6" in result.output
 
 
+class TestOutput:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["simulate", eq("hd0.eq"), "--init", "1,2", "--steps", "12"],
+            ["factor", eq("exp.eq")],
+            ["bifurcate", eq("hd0.eq"), "--fix", "x-1=1", "--sweep", "x0=1:2:3"],
+        ],
+    )
+    def test_unopenable_out_exits_one_with_one_line(self, runner, tmp_path, args):
+        out = tmp_path / "missing" / "out.txt"
+        result = runner.invoke(main, args + ["--out", str(out)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.splitlines() == [
+            f"Error: cannot write {out}: No such file or directory"
+        ]
+
+    def test_dash_writes_to_stdout_before_the_summary(self, runner):
+        result = runner.invoke(
+            main, ["simulate", eq("hd0.eq"), "--init", "1,2", "--steps", "12", "--out", "-"]
+        )
+        assert result.exit_code == 0
+        lines = result.output.splitlines()
+        assert lines[0] == "n,re,im" and lines[-1] == "period 6"
+
+
 class TestFactor:
     def test_example4_reports_constant(self, runner):
         result = runner.invoke(main, ["factor", eq("exp.eq")])

@@ -1,3 +1,4 @@
+import cmath
 import io
 import math
 from random import Random
@@ -7,6 +8,7 @@ import pytest
 from scfact import (
     CarrierError,
     DocumentError,
+    DomainError,
     GroupTag,
     Linear,
     SeparableMultiplicative,
@@ -19,6 +21,7 @@ from scfact import (
     load_equation,
     load_equation_file,
     render_equation,
+    separable_additive_equation,
     separable_multiplicative_equation,
     write_orbit_csv,
 )
@@ -216,6 +219,69 @@ class TestIteration:
         a = iterate_orbit(eq, (0.3, 0.7), 40)
         b = iterate_orbit(sep, (0.3, 0.7), 40)
         assert max(rel_err(x, y) for x, y in zip(a.values, b.values)) < 1e-12
+
+
+def _complex_states(seed: int, order: int, count: int = 200):
+    rng = Random(seed)
+    for _ in range(count):
+        state = [complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(order)]
+        yield state, rng.randrange(0, 20)
+
+
+class TestStepIsBitIdentical:
+    """``step`` equals, exactly, the same operations written out by hand."""
+
+    A, B, C = 0.7 - 0.3j, 1.3 + 0.4j, -0.4 + 0.9j
+
+    def test_general(self):
+        eq = general_equation(
+            "x0 + a*(x0 - x1)/(x1 - x2) + exp(-x2)*x1^b - c*n", 3,
+            params={"a": self.A, "b": self.B, "c": self.C},
+        )
+        for (x0, x1, x2), n in _complex_states(1, 3):
+            n = complex(n)
+            want = x0 + self.A * (x0 - x1) / (x1 - x2) + cmath.exp(-x2) * x1**self.B - self.C * n
+            assert eq.step([x0, x1, x2], n) == want
+
+    def test_linear(self):
+        eq = linear_equation([self.A, self.B, self.C], forcing="c*0.9^n + a", params={"a": self.A, "c": self.C})
+        for (x0, x1, x2), n in _complex_states(2, 3):
+            want = self.C * (0.9 + 0j) ** complex(n) + self.A
+            want = want - self.A * x0 - self.B * x1 - self.C * x2
+            assert eq.step([x0, x1, x2], n) == want
+
+    def test_separable_additive(self):
+        eq = separable_additive_equation(
+            ["a*x", "sin(x)", "x^2/3"], forcing="c*n", params={"a": self.A, "c": self.C}
+        )
+        for (x0, x1, x2), n in _complex_states(3, 3):
+            want = self.C * complex(n) + self.A * x0 + cmath.sin(x1) + x2 ** (2 + 0j) / (3 + 0j)
+            assert eq.step([x0, x1, x2], n) == want
+
+    def test_separable_multiplicative(self):
+        eq = separable_multiplicative_equation(
+            ["exp(-x)", "x*exp(-x)"], forcing="exp(a) + n", params={"a": self.A},
+            group=GroupTag.MULTIPLICATIVE_NONZERO,
+        )
+        for (x0, x1), n in _complex_states(4, 2):
+            want = (cmath.exp(self.A) + complex(n)) * cmath.exp(-x0) * (x1 * cmath.exp(-x1))
+            assert eq.step([x0, x1], n) == want
+
+    def test_carrier_guard_names_component(self):
+        eq = separable_multiplicative_equation(["x", "x - 2"], "1")
+        with pytest.raises(
+            CarrierError,
+            match=r"component psi1 produced \(-1\+0j\), outside the group carrier in 'x1 - 2'",
+        ):
+            eq.step([3.0, 1.0], 0)
+
+    def test_separable_additive_domain_error_names_the_lag(self):
+        eq = separable_additive_equation(["1/x", "x"])
+        with pytest.raises(DomainError, match=r"^division by zero in '1/x0'$"):
+            eq.step([0j, 1 + 0j], 0)
+        orbit = iterate_orbit(eq, (1, 0), 3)
+        assert orbit.truncated_at == 1
+        assert orbit.truncation_reason == "division by zero in '1/x0'"
 
 
 class TestPeriodDetection:

@@ -10,12 +10,14 @@ from scfact.expressions import (
     Call,
     Const,
     DomainError,
+    EvaluationError,
     Neg,
     ParseError,
     UnboundVariableError,
     Var,
     evaluate,
     format_expression,
+    lower,
     parse_expression,
     substitute,
 )
@@ -141,6 +143,50 @@ class TestEvaluation:
     def test_overflow_is_a_domain_error(self):
         with pytest.raises(DomainError):
             evaluate(parse_expression("exp(exp(x))"), {"x": 10})
+
+
+class TestLowering:
+    def test_arguments_are_positional_and_parameters_constant(self):
+        f = lower(parse_expression("a*x0 - x1"), ("x1", "x0"), {"a": 2})
+        assert f(1, 5) == 9
+        assert f(0, 1) == 2
+
+    def test_matches_the_arithmetic_it_spells_out_exactly(self):
+        tree = parse_expression("a*x/(y - 1) + exp(-y)*x^b - ln(y)")
+        f = lower(tree, ("x", "y"), {"a": 0.7 - 0.2j, "b": 1.3 + 0.4j})
+        rng = Random(19)
+        for _ in range(200):
+            x = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+            y = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+            want = (0.7 - 0.2j) * x / (y - 1) + cmath.exp(-y) * x ** (1.3 + 0.4j) - cmath.log(y)
+            assert f(x, y) == want
+
+    def test_deep_sum_lowers_without_recursion(self):
+        tree = parse_expression("+".join(["x"] * 5000))
+        assert evaluate(tree, {"x": 1}) == 5000
+        assert tree.free_variables() == {"x"}
+
+    def test_unknown_operator_is_rejected_when_lowered(self):
+        with pytest.raises(EvaluationError, match="unknown operator '%'"):
+            lower(BinOp("%", Var("x"), Const(2)), ("x",))
+
+    def test_unknown_function_is_rejected_when_lowered(self):
+        with pytest.raises(EvaluationError, match="unknown function 'system'"):
+            lower(Call("system", Var("x")), ("x",))
+
+    def test_unbound_name_is_rejected_when_lowered(self):
+        with pytest.raises(UnboundVariableError, match="unbound variable 'b'"):
+            lower(parse_expression("a + b"), ("a",))
+
+    def test_names_never_reach_the_generated_source(self):
+        name = "__import__('os').getpid()"
+        f = lower(BinOp("+", Var(name), Const(1)), (name,))
+        assert f(2) == 3
+
+    def test_domain_error_names_the_subexpression(self):
+        f = lower(parse_expression("x + 1/(y - 2)"), ("x", "y"))
+        with pytest.raises(DomainError, match=r"division by zero in '1/\(y - 2\)'"):
+            f(1, 2)
 
 
 class TestFormatting:
