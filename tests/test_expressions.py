@@ -78,6 +78,36 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse_expression("x0 @ 3")
 
+    @pytest.mark.parametrize(
+        "text, offset",
+        [
+            ("(" * 200 + "x" + ")" * 200, 50),
+            ("exp(" * 60 + "x" + ")" * 60, 200),
+            ("-" * 5000 + "x", 50),
+            ("x^" * 150 + "x", 101),
+        ],
+        ids=["parentheses", "calls", "minus", "powers"],
+    )
+    def test_nesting_limit_is_a_parse_error(self, text, offset):
+        with pytest.raises(ParseError, match="nesting deeper than 50 levels") as err:
+            parse_expression(text)
+        assert err.value.offset == offset
+
+    def test_nesting_up_to_the_limit_parses(self):
+        assert parse_expression("(" * 50 + "x" + ")" * 50) == Var("x")
+        assert evaluate(parse_expression("-" * 50 + "2"), {}) == 2
+        assert evaluate(parse_expression("+".join(["(-exp(0)^1)"] * 150)), {}) == -150
+
+    def test_limit_deep_parse_from_a_deep_caller(self):
+        # A caller already 400 frames deep still parses the deepest accepted
+        # input, and still gets a ParseError, not RecursionError, past it.
+        def at_depth(k, text):
+            return at_depth(k - 1, text) if k else parse_expression(text)
+
+        assert at_depth(400, "exp(" * 50 + "x" + ")" * 50) == parse_expression("exp(" * 50 + "x" + ")" * 50)
+        with pytest.raises(ParseError, match="nesting deeper"):
+            at_depth(400, "(" * 51 + "x" + ")" * 51)
+
     def test_trailing_garbage(self):
         with pytest.raises(ParseError):
             parse_expression("(x0 + 1))")

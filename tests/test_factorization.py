@@ -1,5 +1,6 @@
 import cmath
 import math
+from dataclasses import replace
 from random import Random
 
 import pytest
@@ -28,7 +29,7 @@ from scfact import (
 )
 from scfact import check_hd1
 from scfact.factorization import FactorizationError
-from scfact.expressions import evaluate
+from scfact.expressions import EvaluationError, Var, evaluate
 
 from helpers import (
     C_PLUS,
@@ -418,6 +419,79 @@ class TestSimulateAndEquivalence:
         # dynamics differ; chaining validity is the caller's responsibility.
         x_orbit, _ = simulate_cascade([outer, bad_inner], (0, 1, 3), 3)
         assert x_orbit.order == 3
+
+
+def _reference_rebuild(fact, init, t_orbit):
+    """The source orbit rebuilt from ``t_orbit`` one ``_cofactor`` call at a time."""
+    seq = [complex(v) for v in init]
+    for n, t in enumerate(t_orbit.values):
+        try:
+            seq.append(fact._cofactor(complex(n), t, *seq[::-1][: fact.cofactor_order]))
+        except EvaluationError as exc:
+            return tuple(seq[len(init):]), n + 1, str(exc)
+    return tuple(seq[len(init):]), t_orbit.truncated_at, t_orbit.truncation_reason
+
+
+def _assert_cascade_matches_reference(stages, init, steps):
+    x_orbit, t_orbits = simulate_cascade(stages, init, steps)
+    for fact, outer, inner in zip(stages, (x_orbit,) + t_orbits, t_orbits):
+        assert inner.initial_values == fact.factor_initial_values(outer.initial_values)
+        got = (outer.values, outer.truncated_at, outer.truncation_reason)
+        assert got == _reference_rebuild(fact, outer.initial_values, inner)
+    innermost = t_orbits[-1]
+    assert innermost == iterate_orbit(stages[-1].factor, innermost.initial_values, steps)
+    return x_orbit, t_orbits
+
+
+def _fails_at_step_three(fact):
+    """``fact`` with a cofactor that raises a domain error at ``n = 3``."""
+    return replace(fact, cofactor=fact.cofactor + 0 / (Var("n") - 3))
+
+
+class TestCascadeIsBitIdentical:
+    """``simulate_cascade`` rebuilds exactly what ``_cofactor`` gives step by step."""
+
+    def test_one_stage(self):
+        rng = Random(23)
+        eq = as_separable_additive(linear_equation([-1, -0.25, 0.25]))  # roots 1, 1/2, -1/2
+        facts = [factor_hd1(make_hs3(1.0)), factor_separable_additive(eq, 0.5)]
+        for fact in facts + [factor_separable_multiplicative(make_exp(4.6), -1.0)]:
+            for steps in (0, 1, 60):
+                init = [rng.uniform(0.5, 3) + j for j in range(fact.source.order)]
+                x_orbit, _ = _assert_cascade_matches_reference([fact], init, steps)
+                assert len(x_orbit.values) == steps and x_orbit.truncated_at is None
+        assert facts[1].cofactor_order == 2
+
+    def test_two_stages(self):
+        outer = factor_hd1(make_hs3(1.0))
+        inner = factor_separable_multiplicative(make_hd0_separable(1.0), C_PLUS)
+        rng = Random(24)
+        for steps in (0, 1, 60):
+            x_orbit, _ = _assert_cascade_matches_reference([outer, inner], draw_hs3_init(rng), steps)
+            assert len(x_orbit.values) == steps and x_orbit.truncated_at is None
+
+    def test_truncated_factor_orbit(self):
+        fact = factor_hd1(make_hs3(1.0))
+        x_orbit, (t_orbit,) = _assert_cascade_matches_reference([fact], (0, 1, 1), 10)
+        assert x_orbit.truncated_at == t_orbit.truncated_at == 2
+        assert x_orbit.truncation_reason == t_orbit.truncation_reason
+        assert len(x_orbit.values) == 1
+
+    def test_truncated_cofactor(self):
+        fact = _fails_at_step_three(factor_hd1(make_hs3(1.0)))
+        x_orbit, (t_orbit,) = _assert_cascade_matches_reference([fact], (0, 1, 3), 10)
+        assert t_orbit.truncated_at is None
+        assert len(x_orbit.values) == 3 and x_orbit.truncated_at == 4
+        assert x_orbit.truncation_reason == "division by zero in '0/(n - 3)'"
+
+    def test_truncated_inner_stage_of_two(self):
+        outer = factor_hd1(make_hs3(1.0))
+        inner = _fails_at_step_three(factor_separable_multiplicative(make_hd0_separable(1.0), C_PLUS))
+        stages = [outer, inner]
+        x_orbit, (t_orbit, r_orbit) = _assert_cascade_matches_reference(stages, (0, 1, 3), 10)
+        assert r_orbit.truncated_at is None
+        assert t_orbit.truncated_at == x_orbit.truncated_at == 4
+        assert len(x_orbit.values) == len(t_orbit.values) == 3
 
 
 class TestFactorizationInvariants:
