@@ -35,6 +35,7 @@ from .expressions import (
     DomainError,
     EvaluationError,
     Expression,
+    NonFiniteLiteralError,
     ParseError,
     UnboundVariableError,
     evaluate,

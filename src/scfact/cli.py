@@ -9,6 +9,7 @@ all numbers are decimal doubles.  Commands are deterministic for a given
 
 from __future__ import annotations
 
+import cmath
 from random import Random
 from typing import Optional
 
@@ -295,6 +296,10 @@ def solve_linear(file, init_text, n_index, tol, seed):
             f"direct iteration failed: {direct_orbit.truncation_reason}"
         )
     direct = direct_orbit.full_sequence[-1] if n_index else complex(init[-1])
+    if not cmath.isfinite(direct):
+        raise click.ClickException(
+            f"direct iteration: x_{n_index} = {format_complex(direct)} is not finite"
+        )
     system = factor_linear_full(eq)
     cascade_orbit, _ = system.simulate(init, n_index)
     cascade = cascade_orbit.full_sequence[-1] if n_index else complex(init[-1])
@@ -302,7 +307,10 @@ def solve_linear(file, init_text, n_index, tol, seed):
     click.echo(f"triangular cascade: x_{n_index} = {format_complex(cascade)}")
     values = [direct, cascade]
     if eq.order == 2:
-        closed = solve_order2_closed_form(eq, init, n_index)
+        try:
+            closed = solve_order2_closed_form(eq, init, n_index)
+        except OverflowError as exc:
+            raise click.ClickException(f"closed form: x_{n_index} overflows ({exc})")
         click.echo(f"closed form: x_{n_index} = {format_complex(closed)}")
         values.append(closed)
     scale = 1 + abs(direct)

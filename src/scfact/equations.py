@@ -45,6 +45,7 @@ from .expressions import (
     DomainError,
     EvaluationError,
     Expression,
+    NonFiniteLiteralError,
     Var,
     as_expression,
     evaluate,
@@ -555,6 +556,8 @@ def _constant_value(raw: str, key: str) -> complex:
         raw = raw[1:-1]
     try:
         expr = parse_expression(raw)
+    except NonFiniteLiteralError as exc:
+        raise DocumentError(f"key '{key}' must be finite, got {complex(exc.value)!r}") from None
     except Exception as exc:
         raise DocumentError(f"key '{key}': {exc}") from None
     if expr.free_variables():

@@ -17,7 +17,8 @@ Grammar (EBNF)::
     IDENT  := [A-Za-z_][A-Za-z0-9_]*
 
 ``i`` is reserved for the imaginary unit and is never a variable.  Numeric
-literals are decimal with an optional exponent; there is no implicit
+literals are decimal with an optional exponent and must be finite as doubles
+(``1e309`` is a :class:`NonFiniteLiteralError`); there is no implicit
 multiplication.  Note that per this grammar the base of ``^`` may be a bare
 negated atom, so ``-x^2`` denotes ``(-x)^2``.
 
@@ -39,12 +40,15 @@ cofactor around them, so a step costs little more than its arithmetic.
 The parser is recursive descent and accepts at most 50 nested levels of
 parentheses, calls, unary minus and ``^``; deeper input is a
 :class:`ParseError` at the token that opens level 51.  A level costs up to
-8 Python frames, so a limit-deep parse needs about 410.
+8 Python frames, so a limit-deep parse needs about 410.  Every other walk
+(lowering, :func:`substitute`, the formatter, free variables) keeps an
+explicit stack, so trees built another way may be arbitrarily deep.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence, Union
 
@@ -57,6 +61,7 @@ __all__ = [
     "Call",
     "ExpressionError",
     "ParseError",
+    "NonFiniteLiteralError",
     "EvaluationError",
     "UnboundVariableError",
     "DomainError",
@@ -83,6 +88,14 @@ class ParseError(ExpressionError):
         if expected is not None:
             text += f" (expected {expected})"
         super().__init__(text)
+
+
+class NonFiniteLiteralError(ParseError):
+    """A numeric literal too large for a double, such as ``1e309``."""
+
+    def __init__(self, text: str, offset: int):
+        self.value = float(text)
+        super().__init__(f"number {text} is not finite", offset)
 
 
 class EvaluationError(ExpressionError):
@@ -339,20 +352,43 @@ def evaluate(expr: Expression, env: Mapping[str, complex]) -> complex:
     return complex(lower(expr, names)(*[env[name] for name in names]))
 
 
+def _fold(expr: Expression, visit: Callable[[Expression, list], object]):
+    """``visit(node, parts)`` on every node, children first, where ``parts``
+    holds what ``visit`` returned for the node's children; returns the
+    root's result.  The walk uses an explicit stack, so depth is unbounded."""
+    results: list = []
+    todo: list[tuple[Expression, bool]] = [(expr, False)]
+    while todo:
+        node, expanded = todo.pop()
+        children = _children(node)
+        if children and not expanded:
+            todo.append((node, True))
+            todo.extend((child, False) for child in reversed(children))
+            continue
+        parts = results[len(results) - len(children):]
+        del results[len(results) - len(children):]
+        results.append(visit(node, parts))
+    return results.pop()
+
+
 def substitute(expr: Expression, mapping: Mapping[str, Expression]) -> Expression:
     """Replace variables by expression trees (capture is not a concern:
     there are no binders)."""
-    if isinstance(expr, Var):
-        return mapping.get(expr.name, expr)
-    if isinstance(expr, Const):
-        return expr
-    if isinstance(expr, Neg):
-        return Neg(substitute(expr.operand, mapping))
-    if isinstance(expr, BinOp):
-        return BinOp(expr.op, substitute(expr.left, mapping), substitute(expr.right, mapping))
-    if isinstance(expr, Call):
-        return Call(expr.func, substitute(expr.arg, mapping))
-    raise TypeError(f"not an expression: {expr!r}")
+
+    def rebuild(node: Expression, parts: list) -> Expression:
+        if isinstance(node, Var):
+            return mapping.get(node.name, node)
+        if isinstance(node, Const):
+            return node
+        if isinstance(node, Neg):
+            return Neg(*parts)
+        if isinstance(node, BinOp):
+            return BinOp(node.op, *parts)
+        if isinstance(node, Call):
+            return Call(node.func, *parts)
+        raise TypeError(f"not an expression: {node!r}")
+
+    return _fold(expr, rebuild)
 
 
 # ----------------------------------------------------------------------
@@ -499,7 +535,10 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "number":
             self.advance()
-            return Const(complex(float(tok.text)))
+            value = float(tok.text)
+            if math.isinf(value):
+                raise NonFiniteLiteralError(tok.text, _byte_offset(self.text, tok.pos))
+            return Const(complex(value))
         if tok.kind == "ident":
             self.advance()
             name = tok.text
@@ -545,7 +584,7 @@ _BINOP_LEVEL = {"+": _LEVEL_ADD, "-": _LEVEL_ADD, "*": _LEVEL_MUL, "/": _LEVEL_M
 
 
 def _fmt_real(v: float) -> str:
-    if v == int(v) and abs(v) < 1e16:
+    if abs(v) < 1e16 and v == int(v):  # inf and nan fail the first test
         return str(int(v))
     return repr(v)
 
@@ -587,31 +626,32 @@ def _level(expr: Expression) -> int:
     return _LEVEL_ADD
 
 
-def _wrap(expr: Expression, needs_parens: bool) -> str:
-    s = _fmt(expr)
-    return f"({s})" if needs_parens else s
+def _wrap(text: str, needs_parens: bool) -> str:
+    return f"({text})" if needs_parens else text
 
 
-def _fmt(expr: Expression) -> str:
+def _fmt(expr: Expression, parts: list) -> str:
+    """Text of ``expr`` from ``parts``, the texts of its children."""
     if isinstance(expr, Const):
         return _format_const(expr.value)
     if isinstance(expr, Var):
         return expr.name
     if isinstance(expr, Call):
-        return f"{expr.func}({_fmt(expr.arg)})"
+        return f"{expr.func}({parts[0]})"
     if isinstance(expr, Neg):
         inner = expr.operand
         needs = _level(inner) < _LEVEL_UNARY or (isinstance(inner, BinOp) and inner.op == "^")
-        return "-" + _wrap(inner, needs)
+        return "-" + _wrap(parts[0], needs)
     if isinstance(expr, BinOp):
         op = expr.op
+        left, right = parts
         if op == "^":
-            ls = _wrap(expr.left, _level(expr.left) < _LEVEL_ATOM)
-            rs = _wrap(expr.right, _level(expr.right) < _LEVEL_UNARY)
+            ls = _wrap(left, _level(expr.left) < _LEVEL_ATOM)
+            rs = _wrap(right, _level(expr.right) < _LEVEL_UNARY)
             return f"{ls}^{rs}"
         lvl = _BINOP_LEVEL[op]
-        ls = _wrap(expr.left, _level(expr.left) < lvl)
-        rs = _wrap(expr.right, _level(expr.right) <= lvl)
+        ls = _wrap(left, _level(expr.left) < lvl)
+        rs = _wrap(right, _level(expr.right) <= lvl)
         if op in "+-":
             return f"{ls} {op} {rs}"
         return f"{ls}{op}{rs}"
@@ -620,7 +660,7 @@ def _fmt(expr: Expression) -> str:
 
 def format_expression(expr: Expression) -> str:
     """Render ``expr`` as text that re-parses to an equivalent expression."""
-    return _fmt(expr)
+    return _fold(expr, _fmt)
 
 
 def format_complex(v: complex) -> str:

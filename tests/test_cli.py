@@ -181,6 +181,23 @@ class TestSolveLinear:
         assert result.exit_code == 0
         assert "closed form" not in result.output  # order > 2: no closed form line
 
+    def test_overflow_exits_one_with_one_line(self, runner):
+        result = runner.invoke(main, ["solve-linear", eq("lin_32.eq"), "--init", "0,1", "--n", "2000"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.splitlines() == [
+            "Error: direct iteration: x_2000 = nan + nan*i is not finite"
+        ]
+
+    def test_closed_form_overflow_exits_one_with_one_line(self, runner):
+        # x_n = 1 for every n, but the closed form needs 2^2000.
+        result = runner.invoke(main, ["solve-linear", eq("lin_32.eq"), "--init", "1,1", "--n", "2000"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.splitlines()[-1] == (
+            "Error: closed form: x_2000 overflows (complex exponentiation)"
+        )
+
     def test_requires_linear(self, runner):
         result = runner.invoke(main, ["solve-linear", eq("exp.eq"), "--init", "1,1", "--n", "3"])
         assert result.exit_code == 2
@@ -244,8 +261,9 @@ class TestParse:
             ("b = [1e309, 1]", "key 'b' must be finite, got (inf+0j)"),
             ('forcing = "' + "(" * 200 + "n" + ")" * 200 + '"',
              "key 'forcing': syntax error at offset 50: nesting deeper than 50 levels"),
+            ('forcing = "n * 1e309"', "key 'forcing': syntax error at offset 4: number 1e309 is not finite"),
         ],
-        ids=["order", "coefficient", "nesting"],
+        ids=["order", "coefficient", "nesting", "literal"],
     )
     def test_bad_number_or_nesting_exits_one_with_one_line(self, runner, tmp_path, line, message):
         lines = ["[equation]", "order = 2", 'group = "additive"', 'kind = "linear"', "b = [-3, 2]", 'forcing = "0"']
@@ -256,6 +274,16 @@ class TestParse:
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
         assert result.output.splitlines() == [f"Error: {doc}: {message}"]
+
+    def test_long_sum_prints_without_recursion(self, runner, tmp_path):
+        doc = tmp_path / "long.eq"
+        doc.write_text(
+            '[equation]\norder = 1\ngroup = "additive"\nkind = "general"\n'
+            'rhs = "' + "+".join(["x0"] * 3000) + '"\n'
+        )
+        result = runner.invoke(main, ["parse", str(doc)])
+        assert result.exit_code == 0
+        assert result.output.splitlines()[-1] == "x(n+1) = " + " + ".join(["x(n)"] * 3000)
 
 
 class TestDeterminism:

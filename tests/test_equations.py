@@ -464,6 +464,27 @@ def test_render_equation():
     assert "x(n-1)" in text and text.startswith("x(n+1) = ")
 
 
+# What ``scfact parse`` prints as the equation line of each sample document.
+RENDERED_SAMPLES = {
+    "2hd1.eq": "x(n+1) = x(n) + a*(x(n) - x(n-1))^2/(x(n-1) - x(n-2))",
+    "exp.eq": "x(n+1) = exp(a)*exp(-x(n))*(x(n-1)*exp(-x(n-1)))",
+    "hd0.eq": "x(n+1) = a*x(n)/x(n-1)",
+    "hs.eq": "x(n+1) = a*x(n)*(1/x(n-1))",
+    "hs3.eq": "x(n+1) = x(n) + a*(x(n) - x(n-1))/(x(n-1) - x(n-2))",
+    "lin2_sep.eq": "x(n+1) = 0.2*0.9^n + 3*x(n) + -2*x(n-1)",
+    "lin_32.eq": "x(n+1) = 0 - -3*x(n) - 2*x(n-1)",
+    "nonred.eq": "x(n+1) = x(n)^2 + x(n-1)",
+    "rk.eq": "x(n+1) = x(n)*(a*x(n-1)/x(n-2) + b)",
+}
+
+
+def test_render_every_sample_document():
+    names = sorted(p.name for p in EQUATIONS_DIR.glob("*.eq"))
+    assert names == sorted(RENDERED_SAMPLES)
+    for name in names:
+        assert render_equation(load_equation_file(EQUATIONS_DIR / name)) == RENDERED_SAMPLES[name]
+
+
 def test_group_operations():
     add, mul = GroupTag.ADDITIVE_COMPLEX, GroupTag.MULTIPLICATIVE_POSITIVE
     assert add.combine(2, 3) == 5 and add.invert(2) == -2 and add.identity == 0

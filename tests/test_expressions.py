@@ -112,6 +112,19 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse_expression("(x0 + 1))")
 
+    @pytest.mark.parametrize(
+        "text, offset",
+        [("x0 * 1e309", 5), ("2 + 9" + "9" * 400, 4), ("-1e400", 1)],
+        ids=["product", "long-integer", "negated"],
+    )
+    def test_non_finite_literal_is_a_parse_error(self, text, offset):
+        with pytest.raises(ParseError, match="is not finite") as err:
+            parse_expression(text)
+        assert err.value.offset == offset
+
+    def test_largest_finite_literal_parses(self):
+        assert parse_expression("1.7976931348623157e308") == Const(1.7976931348623157e308)
+
 
 class TestEvaluation:
     def test_difference(self):
@@ -337,6 +350,66 @@ def test_round_trip_property(tree, xr, xi, yr, yi):
     assume(cmath.isfinite(want))
     got = evaluate(parse_expression(format_expression(tree)), env)
     assert rel_err(got, want) < 1e-12
+
+
+# Hand-built trees, some of which the parser cannot produce, with the text the
+# recursive formatter gave them; the stack-based formatter must match it.
+FORMATTED_TREES = [
+    (BinOp("-", Var("a"), BinOp("-", Var("b"), Var("c"))), "a - (b - c)"),
+    (BinOp("-", BinOp("-", Var("a"), Var("b")), Var("c")), "a - b - c"),
+    (BinOp("^", BinOp("^", Var("x"), Var("y")), Var("z")), "(x^y)^z"),
+    (BinOp("^", Var("x"), BinOp("^", Var("y"), Var("z"))), "x^y^z"),
+    (BinOp("^", Neg(Var("x")), Const(2)), "(-x)^2"),
+    (Neg(BinOp("^", Var("x"), Const(2))), "-(x^2)"),
+    (Neg(Neg(Var("x"))), "--x"),
+    (Neg(Const(-2)), "--2"),
+    (Neg(BinOp("*", Var("x"), Var("y"))), "-(x*y)"),
+    (BinOp("*", Const(-2), Var("x")), "-2*x"),
+    (BinOp("/", Var("x"), BinOp("*", Var("y"), Var("z"))), "x/(y*z)"),
+    (BinOp("/", BinOp("/", Var("x"), Var("y")), Var("z")), "x/y/z"),
+    (BinOp("*", BinOp("+", Var("x"), Var("y")), BinOp("-", Var("x"), Var("y"))), "(x + y)*(x - y)"),
+    (BinOp("^", Const(-1), Const(0.5)), "(-1)^0.5"),
+    (BinOp("^", Var("x"), Neg(Var("y"))), "x^-y"),
+    (BinOp("^", Var("x"), Const(-2)), "x^-2"),
+    (BinOp("^", Call("exp", Var("x")), Const(1j)), "exp(x)^i"),
+    (BinOp("+", Var("x"), Const(-3)), "x + -3"),
+    (BinOp("-", Var("x"), Const(2 - 1j)), "x - (2 - i)"),
+    (BinOp("*", Const(2j), Var("x")), "2*i*x"),
+    (BinOp("*", Var("x"), Const(-1j)), "x*-i"),
+    (BinOp("+", Const(1j), Const(-1j)), "i + -i"),
+    (Call("exp", BinOp("+", Var("a"), Const(1 + 1j))), "exp(a + (1 + i))"),
+    (Call("ln", Neg(Call("sqrt", Var("x")))), "ln(-sqrt(x))"),
+    (Const(3 - 2j), "3 - 2*i"),
+    (Const(-0.5 + 1j), "-0.5 + i"),
+    (Const(2.5j), "2.5*i"),
+    (Const(1e20), "1e+20"),
+    (Const(-1e16), "-1e+16"),
+    (Const(0.1), "0.1"),
+    (Const(-0.0), "0"),
+]
+
+
+@pytest.mark.parametrize("tree, text", FORMATTED_TREES, ids=[t for _, t in FORMATTED_TREES])
+def test_formatter_output_is_unchanged(tree, text):
+    assert format_expression(tree) == text
+    assert format_expression(substitute(tree, {})) == text
+
+
+def test_non_finite_constants_format_without_error():
+    assert format_expression(Const(float("inf"))) == "inf"
+    assert format_expression(Const(complex(float("-inf"), 2))) == "-inf + 2*i"
+    assert format_expression(Const(complex(float("nan"), float("nan")))) == "nan + nan*i"
+
+
+def test_deep_sum_formats_and_substitutes_without_recursion():
+    text = "+".join(["x0"] * 5000)
+    tree = parse_expression(text)
+    swapped = substitute(tree, {"x0": Var("u")})
+    assert format_expression(swapped) == " + ".join(["u"] * 5000)
+    deep = Const(1)
+    for _ in range(5000):
+        deep = Neg(Call("exp", deep))
+    assert format_expression(deep) == "-exp(" * 5000 + "1" + ")" * 5000
 
 
 def test_substitute_replaces_variables():

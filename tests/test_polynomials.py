@@ -15,6 +15,7 @@ from scfact import (
     sigma_closed_form,
     solve_order2_closed_form,
 )
+from scfact.expressions import EvaluationError
 from scfact.polynomials import DeflationError, RootFindingError
 
 from helpers import rel_err
@@ -248,3 +249,41 @@ class TestOrder2ClosedForm:
     def test_requires_order_two(self):
         with pytest.raises(TypeError):
             solve_order2_closed_form(linear_equation([-1, 0, 0]), (0, 0, 1), 3)
+
+    def test_forcing_error_propagates(self):
+        eq = linear_equation([-1.5, 0.5], forcing="1/(n - 5)")
+        assert solve_order2_closed_form(eq, (1, 2), 5) == nested_sigma_closed_form(eq, (1, 2), 5)
+        for n in (6, 40):
+            with pytest.raises(EvaluationError, match="division by zero"):
+                solve_order2_closed_form(eq, (1, 2), n)
+            with pytest.raises(EvaluationError, match="division by zero"):
+                nested_sigma_closed_form(eq, (1, 2), n)
+
+
+def nested_sigma_closed_form(eq, init, n):
+    """The order-2 closed form with its double sum written as the nested
+    ``sigma`` composition, evaluated literally: the oracle that
+    :func:`solve_order2_closed_form` must equal exactly."""
+    b0 = eq.kind.coefficients[0]
+    c0, c1 = find_roots(characteristic_polynomial(eq)).expanded()
+    x_m1, x_0 = (complex(v) for v in init)
+    z0 = x_0 + (c0 + b0) * x_m1
+    gamma0 = eq.forcing_at(0) + c0 * z0
+    inner = lambda m: sigma(lambda k: eq.forcing_at(k + 1), c0, m)
+    return x_0 * c1**n + sigma_closed_form(gamma0, c0, c1, n) + sigma(inner, c1, n)
+
+
+@pytest.mark.parametrize("forcing", ["0", "-0.375", "0.5*n", "0.9^n", "sin(n)"])
+@pytest.mark.parametrize(
+    "b",
+    [[-0.5, -0.5], [-1.2, 0.36], [-1, 0.89]],
+    ids=["distinct-real", "double", "complex-pair"],
+)
+def test_closed_form_equals_nested_sigma_exactly(b, forcing):
+    eq = linear_equation(b, forcing)
+    roots = find_roots(characteristic_polynomial(eq)).entries
+    assert [e.multiplicity for e in roots] == ([2] if b == [-1.2, 0.36] else [1, 1])
+    rng = Random(str(b) + forcing)
+    for n in (0, 1, 2, 3, 17, 300):
+        init = (rng.uniform(-2, 2), rng.uniform(-2, 2))
+        assert solve_order2_closed_form(eq, init, n) == nested_sigma_closed_form(eq, init, n)
