@@ -86,7 +86,6 @@ from .polynomials import (
 from .symmetry import (
     FormSymmetry,
     GeneralMap,
-    GridSpec,
     HD1Report,
     Inversion,
     ReductionConstantSet,

@@ -131,10 +131,6 @@ class RootSet:
             out.extend([e.value] * e.multiplicity)
         return tuple(out)
 
-    @property
-    def total_multiplicity(self) -> int:
-        return sum(e.multiplicity for e in self.entries)
-
 
 def characteristic_polynomial(eq: DifferenceEquation) -> Polynomial:
     """``P(z) = z^{k+1} + b_0 z^k + ... + b_k`` for a linear equation."""

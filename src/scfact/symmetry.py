@@ -15,9 +15,10 @@ constant ``c`` satisfies, for all carrier points,
 (the multiplicative identity is checked in log domain, which is equivalent
 for ``t > 0`` and avoids overflow and branch ambiguity).  For linear
 equations the constants are exactly the eigenvalues, obtained analytically
-from the characteristic polynomial; for nonlinear separable components they
-are found by a grid scan over the complex plane refined by Gauss-Newton
-iteration on the mean-square residual.
+from the characteristic polynomial.  For other separable equations the
+identity at each probe point is a polynomial of degree k+1 in ``c``; the
+constants are the common roots, found as the roots of one probe polynomial
+refined by Gauss-Newton iteration over all probes.
 
 HD1 is detected by randomized sampling with recorded witnesses, not proof:
 there is no decision procedure for arbitrary expressions.
@@ -47,7 +48,12 @@ from .expressions import (
     Var,
     lower,
 )
-from .polynomials import Polynomial, characteristic_polynomial, find_roots
+from .polynomials import (
+    Polynomial,
+    RootFindingError,
+    characteristic_polynomial,
+    find_roots,
+)
 
 __all__ = [
     "Inversion",
@@ -57,7 +63,6 @@ __all__ = [
     "HD1Report",
     "ReductionConstant",
     "ReductionConstantSet",
-    "GridSpec",
     "ProbeSet",
     "SymmetryError",
     "ConstantValidationError",
@@ -292,17 +297,6 @@ class ReductionConstantSet:
 
 
 @dataclass(frozen=True)
-class GridSpec:
-    """Search rectangle for the complex grid scan."""
-
-    re_min: float = -4.0
-    re_max: float = 4.0
-    im_min: float = -4.0
-    im_max: float = 4.0
-    step: float = 0.25
-
-
-@dataclass(frozen=True)
 class ProbeSet:
     """Probe points of a separable equation and, per point, the residual
     polynomial of the reduction identity in ``c`` (ascending).
@@ -421,20 +415,39 @@ def _common_multiplicity(polys, c: complex) -> int:
     return max(1, min(informative)) if informative else 1
 
 
+def _polish(polys, derivs, c: complex) -> complex:
+    """Gauss-Newton from ``c``.  Floating-point noise hides a multiplicity-m
+    root within about eps^(1/m), so while the common multiplicity grows, the
+    iteration is repeated on the (m-1)th derivatives, where it is simple."""
+    c = _gauss_newton(polys, derivs, c)
+    m = 1
+    while cmath.isfinite(c) and (grown := _common_multiplicity(polys, c)) > m:
+        m = grown
+        reduced = []
+        for p in polys:
+            if p.degree >= m:
+                for _ in range(m - 1):
+                    p = p.derivative()
+                reduced.append(p)
+        c = _gauss_newton(reduced, [p.derivative() for p in reduced], c)
+    return c
+
+
 def solve_reduction_constant(
-    eq: DifferenceEquation,
-    grid: Optional[GridSpec] = None,
-    tol: float = 1e-8,
+    eq: DifferenceEquation, tol: float = 1e-8
 ) -> ReductionConstantSet:
     """All constants ``c`` satisfying the reduction identity for ``eq``.
 
     Linear equations: exactly the roots of the characteristic polynomial
-    (``analytic`` result).  Separable kinds: the identity residual is
-    evaluated on a fixed set of probe points over the complex grid, each
-    local minimum is refined by Gauss-Newton iteration on the mean-square
-    residual, and constants whose final max residual is at most ``tol`` are
-    kept; duplicates within 1e-6 merge with multiplicity.  An empty result
-    is a value, not an error.
+    (``analytic`` result).  Separable kinds: at each probe point the
+    identity is a polynomial in ``c``, and the constants are the common
+    roots of these polynomials.  The roots of the probe polynomial with the
+    largest leading coefficient (the next one if root finding fails) are
+    the starts; each is refined by Gauss-Newton iteration over all probes
+    and kept if its max residual is at most ``tol``.  Every common root is a
+    root of that polynomial, so the result is complete whenever its root
+    finding converges.  Duplicates within 1e-6 merge; multiplicities are the
+    common vanishing order.  An empty result is a value, not an error.
     """
     if isinstance(eq.kind, Linear):
         roots = find_roots(characteristic_polynomial(eq))
@@ -447,43 +460,21 @@ def solve_reduction_constant(
         )
     if isinstance(eq.kind, General):
         raise TypeError("reduction constants require a linear or separable equation")
-    grid = grid or GridSpec()
     polys = probe_set(eq).polys
     derivs = [p.derivative() for p in polys]
-
-    res = int(round((grid.re_max - grid.re_min) / grid.step)) + 1
-    ims = int(round((grid.im_max - grid.im_min) / grid.step)) + 1
-    values = [
-        [
-            sum(
-                abs(p(complex(grid.re_min + a * grid.step, grid.im_min + b * grid.step))) ** 2
-                for p in polys
-            )
-            for b in range(ims)
-        ]
-        for a in range(res)
-    ]
-
-    candidates = []
-    for a in range(res):
-        for b in range(ims):
-            v = values[a][b]
-            if not (v == v and v != float("inf")):
-                continue  # non-finite residual: skip the cell
-            lower_neighbour = any(
-                values[na][nb] < v
-                for na in (a - 1, a, a + 1)
-                for nb in (b - 1, b, b + 1)
-                if 0 <= na < res and 0 <= nb < ims
-            )
-            if not lower_neighbour:
-                candidates.append(
-                    complex(grid.re_min + a * grid.step, grid.im_min + b * grid.step)
-                )
+    starts: list[complex] = []
+    for p in sorted(polys, key=lambda q: -abs(q.coefficients[-1])):
+        if p.degree == 0:
+            continue
+        try:
+            starts = [e.value for e in find_roots(p).entries]
+        except RootFindingError:
+            continue
+        break
 
     found: list[tuple[complex, float]] = []
-    for start in candidates:
-        c = _gauss_newton(polys, derivs, start)
+    for start in starts:
+        c = _polish(polys, derivs, start)
         if not cmath.isfinite(c):
             continue
         residual = _max_residual(polys, c)

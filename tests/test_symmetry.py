@@ -22,10 +22,12 @@ from scfact import (
     solve_reduction_constant,
 )
 from scfact.expressions import Call, Var, evaluate, parse_expression, substitute
+from scfact.polynomials import Polynomial
 from scfact.symmetry import (
     ConstantValidationError,
     additive_reduction_residual,
     multiplicative_reduction_residual,
+    probe_set,
 )
 
 from helpers import (
@@ -78,12 +80,53 @@ class TestCheckHd1:
         assert report.verdict == (report.max_residual <= 1e-9)
 
 
+def _drawn_coefficients(seed: int, count: int) -> list:
+    """Coefficients of random linear equations of order 2-4, drawn directly."""
+    rng = Random(seed)
+    out = []
+    for _ in range(count):
+        order = rng.randrange(2, 5)
+        out.append([rng.uniform(-1.5, 1.5) for _ in range(order)])
+    return out
+
+
+def _coefficients_from_roots(seed: int, count: int) -> list:
+    """Coefficients of random linear equations of order 2-5 whose eigenvalues
+    are drawn as real roots and complex-conjugate pairs in [-3, 3]^2."""
+    rng = Random(seed)
+    out = []
+    for _ in range(count):
+        order = rng.randrange(2, 6)
+        roots: list[complex] = []
+        while len(roots) < order:
+            if order - len(roots) >= 2 and rng.random() < 0.5:
+                z = complex(rng.uniform(-3, 3), rng.uniform(0.2, 3))
+                roots += [z, z.conjugate()]
+            else:
+                roots.append(complex(rng.uniform(-3, 3)))
+        coeffs = Polynomial.from_roots(roots).coefficients
+        out.append([c.real for c in reversed(coeffs[:-1])])
+    return out
+
+
+# [-30, 200] (constants 10 and 20) and 4 of the 30 root-drawn equations have
+# constants that a scan of a 33 x 33 grid over [-4, 4]^2 misses.
+RECOVERY_CASES = (
+    _drawn_coefficients(31, 8) + [[-30, 200]] + _coefficients_from_roots(41, 30)
+)
+
+
 class TestReductionConstants:
     def test_example4_single_constant(self):
-        result = solve_reduction_constant(make_exp(4.6))
+        """The probe polynomial the constants are drawn from has a second
+        root, which the other probes reject."""
+        eq = make_exp(4.6)
+        chosen = max(probe_set(eq).polys, key=lambda p: abs(p.coefficients[-1]))
+        assert len(find_roots(chosen).entries) == 2
+        result = solve_reduction_constant(eq)
         assert len(result.constants) == 1
         rc = result.constants[0]
-        assert abs(rc.value - (-1)) < 1e-9
+        assert abs(rc.value - (-1)) < 1e-12
         assert rc.multiplicity == 1
         assert not result.analytic
 
@@ -124,10 +167,7 @@ class TestReductionConstants:
         assert len(result.constants) == 0
 
     def test_recovery_matches_characteristic_roots(self):
-        rng = Random(31)
-        for _ in range(8):
-            order = rng.randrange(2, 5)
-            b = [rng.uniform(-1.5, 1.5) for _ in range(order)]
+        for b in RECOVERY_CASES:
             eq = linear_equation(b)
             sep = as_separable_additive(eq)
             numeric = sorted(
@@ -138,8 +178,17 @@ class TestReductionConstants:
                 find_roots(characteristic_polynomial(eq)).expanded(),
                 key=lambda z: (round(z.real, 6), round(z.imag, 6)),
             )
-            assert len(numeric) == len(analytic)
-            assert max(abs(a - b) for a, b in zip(numeric, analytic)) < 1e-8
+            assert len(numeric) == len(analytic), b
+            assert max(abs(x - y) for x, y in zip(numeric, analytic)) < 1e-8, b
+
+    @pytest.mark.parametrize("b, multiplicity", [([-3, 3, -1], 3), ([-4, 6, -4, 1], 4)])
+    def test_repeated_root_of_separable_form(self, b, multiplicity):
+        """(z - 1)^m: the noise ball of a multiple root must not split it."""
+        result = solve_reduction_constant(as_separable_additive(linear_equation(b)))
+        assert len(result.constants) == 1
+        rc = result.constants[0]
+        assert rc.multiplicity == multiplicity
+        assert abs(rc.value - 1) < 1e-12
 
     def test_linear_identity_residual_at_probe_points(self):
         eq = linear_equation([-3, 2], forcing="0")
@@ -149,16 +198,11 @@ class TestReductionConstants:
             assert additive_reduction_residual(sep, root) <= 1e-10 * scale
 
     def test_grid_is_configurable(self):
-        from scfact import GridSpec
-
         sep = as_separable_additive(linear_equation([-7, 10]))  # constants 2 and 5
-        for result in (
-            solve_reduction_constant(sep),  # boundary cells launch refinement past the rim
-            solve_reduction_constant(sep, grid=GridSpec(-8, 8, -8, 8, 0.25)),
-        ):
-            got = sorted(c.value.real for c in result.constants)
-            assert len(got) == 2
-            assert max(abs(a - b) for a, b in zip(got, [2, 5])) < 1e-8
+        result = solve_reduction_constant(sep)  # 5 lies past the old grid's rim
+        got = sorted(c.value.real for c in result.constants)
+        assert len(got) == 2
+        assert max(abs(a - b) for a, b in zip(got, [2, 5])) < 1e-8
 
     def test_general_kind_rejected(self):
         with pytest.raises(TypeError):
