@@ -43,7 +43,7 @@ from .factorization import (
     verify_equivalence,
     verify_semiconjugacy,
 )
-from .polynomials import solve_order2_closed_form
+from .polynomials import PolynomialError, solve_order2_closed_form
 from .symmetry import (
     ConstantValidationError,
     check_hd1,
@@ -93,7 +93,18 @@ def _output(path: Optional[str]):
         raise click.ClickException(f"cannot write {path}: {exc.strerror or exc}")
 
 
-@click.group()
+class _Commands(click.Group):
+    """Every :class:`PolynomialError` (root finding, deflation) ends a
+    command with a one-line message and exit 1."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except PolynomialError as exc:
+            raise click.ClickException(str(exc))
+
+
+@click.group(cls=_Commands)
 def main():
     """Reduce, simulate, and verify scalar difference equations."""
 

@@ -1,9 +1,14 @@
 """Complex polynomial utilities and closed-form solvers for linear recurrences.
 
 Root finding uses Durand-Kerner simultaneous iteration from a perturbed
-circle, followed by a guarded Newton polish and a cluster merge that turns
-near-coincident approximations into one root with multiplicity.  Everything
-here is a pure function of its inputs.
+circle and a guarded Newton polish.  Multiplicities come from certified
+clusters: approximants that lie within the rounding-noise disk of a
+multiplicity-m root, where Pellet's test on the Taylor shift counts exactly
+m roots, become one root of multiplicity m, polished on the (m-1)th
+derivative (after Becker, Sagraloff, Sharma and Yap, J. Symbolic Comput. 86,
+2018, and Zeng, Math. Comp. 74, 2005).  The reduction-constant search of
+:mod:`scfact.symmetry` takes its multiplicities from here as well.
+Everything here is a pure function of its inputs.
 
 The order-2 closed form evaluates its double sum as the nested ``sigma``
 composition does, product by product and in the same order, so its value is
@@ -18,6 +23,7 @@ differently, and so would change printed ``x_n`` digits.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from functools import reduce
 from operator import add, mul
@@ -43,9 +49,6 @@ __all__ = [
 
 #: Relative gap below which two eigenvalues are treated as repeated.
 CONFLUENT_GAP = 1e-9
-
-#: Distance within which root approximations are merged into one multiple root.
-CLUSTER_TOL = 1e-6
 
 
 class PolynomialError(Exception):
@@ -151,7 +154,9 @@ def _sort_root_values(values: list) -> list:
         ref = abs(values[i][0])
         while j < len(values) and abs(abs(values[j][0]) - ref) <= 1e-9 * (1 + ref):
             j += 1
-        out.extend(sorted(values[i:j], key=lambda item: cmath.phase(item[0])))
+        # math.atan2 is cmath.phase without its range error on a subnormal
+        # imaginary part.
+        out.extend(sorted(values[i:j], key=lambda item: math.atan2(item[0].imag, item[0].real)))
         i = j
     return out
 
@@ -160,10 +165,16 @@ def find_roots(p: Polynomial, tol: float = 1e-8, max_iterations: int = 500) -> R
     """All roots of ``p`` with multiplicities.
 
     Durand-Kerner from a perturbed circle, then a Newton polish accepted only
-    while it shrinks ``|P|``, then a cluster merge within ``CLUSTER_TOL`` whose
-    cluster sizes become multiplicities.  Each returned root satisfies
-    ``|P(c)| <= tol * sum(|coefficients|)``; otherwise :class:`RootFindingError`
-    reports the best residuals reached.
+    while it shrinks ``|P|``.  Approximants are then taken from the end of
+    the list; each heads a cluster of the largest m for which its m-1
+    nearest remaining approximants lie within ``rho = 8*(eta/|a_m|)^(1/m)``
+    and Pellet's test ``|a_m| rho^m > sum_{j != m} |a_j| rho^j`` certifies
+    exactly m roots in that disk.  Here ``a_j`` are the coefficients of
+    ``P(z + w)`` and ``eta`` is the rounding noise of evaluating ``P`` at
+    ``z``.  The cluster mean is polished by Newton on the (m-1)th
+    derivative, where the root is simple.  Each returned root satisfies
+    ``|P(c)| <= tol * sum(|coefficients|)``; otherwise, non-finite values
+    included, :class:`RootFindingError` reports the best residuals reached.
     """
     if p.degree < 1:
         raise ValueError("root finding requires degree >= 1")
@@ -214,48 +225,31 @@ def find_roots(p: Polynomial, tol: float = 1e-8, max_iterations: int = 500) -> R
                 break
         roots[j] = r
 
-    # Cluster merge for multiplicities.  A root of multiplicity m can only be
-    # located to about eps^(1/m) by value iteration, so the merge radius grows
-    # with the locally estimated multiplicity (Q = P*P''/P'^2 tends to
-    # (m-1)/m at a multiplicity-m root and to 0 at simple ones).
-    ddp = dp.derivative() if dp.degree >= 1 else None
-
-    def merge_radius(z: complex) -> float:
-        radius = CLUSTER_TOL
-        if ddp is not None:
-            pv, dv = monic(z), dp(z)
-            if dv != 0:
-                q = pv * ddp(z) / dv**2
-                denom = 1 - q
-                if denom != 0:
-                    m_est = round((1 / denom).real)
-                    if 2 <= m_est <= d:
-                        radius = max(radius, 5 * 2.3e-16 ** (1 / m_est))
-        return radius * (1 + abs(z))
-
-    radii = [merge_radius(r) for r in roots]
+    # Certified clusters (see the docstring).  Below |z| = 1 the noise is
+    # taken at |z| = 1: Durand-Kerner's stop is absolute there, so roots at
+    # or near 0 are located no better than that.
     remaining = list(range(d))
-    clusters: list[list[complex]] = []
-    while remaining:
-        idx = remaining.pop()
-        cluster = [roots[idx]]
-        radius = radii[idx]
-        changed = True
-        while changed:
-            changed = False
-            center = sum(cluster) / len(cluster)
-            for j in list(remaining):
-                if abs(roots[j] - center) <= max(radius, radii[j]):
-                    cluster.append(roots[j])
-                    remaining.remove(j)
-                    changed = True
-        clusters.append(cluster)
-
     entries = []
     residuals = []
-    for cluster in clusters:
-        center = sum(cluster) / len(cluster)
-        multiplicity = len(cluster)
+    while remaining:
+        z = roots[remaining.pop()]
+        shift = _taylor_shift(monic.coefficients, z)
+        eta = 2.3e-16 * sum(abs(c) * max(1.0, abs(z)) ** j for j, c in enumerate(monic.coefficients))
+        near = sorted(remaining, key=lambda j: abs(roots[j] - z))
+        members: list[int] = []
+        for m in range(len(near) + 1, 1, -1):
+            if shift[m] == 0:
+                continue
+            rho = 8 * (eta / abs(shift[m])) ** (1 / m)
+            if abs(roots[near[m - 2]] - z) <= rho and abs(shift[m]) * rho**m > sum(
+                abs(a) * rho**j for j, a in enumerate(shift) if j != m
+            ):
+                members = sorted(near[: m - 1])
+                break
+        for j in members:
+            remaining.remove(j)
+        multiplicity = len(members) + 1
+        center = sum([z] + [roots[j] for j in members]) / multiplicity
         if multiplicity > 1:
             # A multiplicity-m root is a simple root of the (m-1)th
             # derivative; Newton there recovers it to full precision where
@@ -263,26 +257,35 @@ def find_roots(p: Polynomial, tol: float = 1e-8, max_iterations: int = 500) -> R
             reduced = monic
             for _ in range(multiplicity - 1):
                 reduced = reduced.derivative()
-            slope_poly = reduced.derivative() if reduced.degree >= 1 else None
-            if slope_poly is not None:
-                best = abs(reduced(center))
-                for _ in range(40):
-                    slope = slope_poly(center)
-                    if slope == 0:
-                        break
-                    cand = center - reduced(center) / slope
-                    resid = abs(reduced(cand))
-                    if resid < best:
-                        center, best = cand, resid
-                    else:
-                        break
+            slope_poly = reduced.derivative()
+            best = abs(reduced(center))
+            for _ in range(40):
+                slope = slope_poly(center)
+                if slope == 0:
+                    break
+                cand = center - reduced(center) / slope
+                resid = abs(reduced(cand))
+                if resid < best:
+                    center, best = cand, resid
+                else:
+                    break
         resid = abs(monic(center))
         residuals.append(resid)
         entries.append((center, multiplicity, resid))
-    if any(resid > tol * scale for resid in residuals):
+    if any(not resid <= tol * scale for resid in residuals):
         raise RootFindingError("root finding did not converge", sorted(residuals))
     ordered = _sort_root_values([(c, (m, r)) for c, m, r in entries])
     return RootSet(tuple(RootEntry(c, m, r) for c, (m, r) in ordered))
+
+
+def _taylor_shift(coefficients: Sequence[complex], z: complex) -> list[complex]:
+    """Coefficients ``a_j`` of ``p(z + w) = sum a_j w^j``: ``a_j`` is the
+    remainder of the j-th synthetic division of ``p`` by ``(x - z)``."""
+    a = list(coefficients)
+    for i in range(len(a) - 1):
+        for j in range(len(a) - 2, i - 1, -1):
+            a[j] += z * a[j + 1]
+    return a
 
 
 def deflate(p: Polynomial, c: complex, tol: float = 1e-8) -> Polynomial:

@@ -50,6 +50,7 @@ from .expressions import (
 )
 from .polynomials import (
     Polynomial,
+    RootEntry,
     RootFindingError,
     characteristic_polynomial,
     find_roots,
@@ -393,46 +394,6 @@ def _gauss_newton(polys, derivs, c: complex, iterations: int = 80) -> complex:
     return c
 
 
-def _vanishing_order(p: Polynomial, c: complex, cap: int) -> int:
-    order = 0
-    while order <= cap:
-        scale = sum(abs(a) * max(1.0, abs(c)) ** idx for idx, a in enumerate(p.coefficients))
-        if scale < 1e-12:
-            return cap + 1  # effectively the zero polynomial: uninformative
-        if abs(p(c)) > 1e-6 * scale:
-            return order
-        order += 1
-        if p.degree == 0:
-            break  # the next derivative is zero
-        p = p.derivative()
-    return order
-
-
-def _common_multiplicity(polys, c: complex) -> int:
-    cap = max(p.degree for p in polys)
-    orders = [_vanishing_order(p, c, cap) for p in polys]
-    informative = [o for o in orders if o <= cap]
-    return max(1, min(informative)) if informative else 1
-
-
-def _polish(polys, derivs, c: complex) -> complex:
-    """Gauss-Newton from ``c``.  Floating-point noise hides a multiplicity-m
-    root within about eps^(1/m), so while the common multiplicity grows, the
-    iteration is repeated on the (m-1)th derivatives, where it is simple."""
-    c = _gauss_newton(polys, derivs, c)
-    m = 1
-    while cmath.isfinite(c) and (grown := _common_multiplicity(polys, c)) > m:
-        m = grown
-        reduced = []
-        for p in polys:
-            if p.degree >= m:
-                for _ in range(m - 1):
-                    p = p.derivative()
-                reduced.append(p)
-        c = _gauss_newton(reduced, [p.derivative() for p in reduced], c)
-    return c
-
-
 def solve_reduction_constant(
     eq: DifferenceEquation, tol: float = 1e-8
 ) -> ReductionConstantSet:
@@ -444,10 +405,12 @@ def solve_reduction_constant(
     roots of these polynomials.  The roots of the probe polynomial with the
     largest leading coefficient (the next one if root finding fails) are
     the starts; each is refined by Gauss-Newton iteration over all probes
-    and kept if its max residual is at most ``tol``.  Every common root is a
-    root of that polynomial, so the result is complete whenever its root
-    finding converges.  Duplicates within 1e-6 merge; multiplicities are the
-    common vanishing order.  An empty result is a value, not an error.
+    and kept if its max residual is at most ``tol``.  A start of
+    multiplicity m (as :func:`find_roots` certifies it) is refined on the
+    (m-1)th derivatives of all probes, where it is a simple root, and keeps
+    that multiplicity.  Every common root is a root of that polynomial, so
+    the result is complete whenever its root finding converges.  Duplicates
+    within 1e-6 merge.  An empty result is a value, not an error.
     """
     if isinstance(eq.kind, Linear):
         roots = find_roots(characteristic_polynomial(eq))
@@ -461,38 +424,37 @@ def solve_reduction_constant(
     if isinstance(eq.kind, General):
         raise TypeError("reduction constants require a linear or separable equation")
     polys = probe_set(eq).polys
-    derivs = [p.derivative() for p in polys]
-    starts: list[complex] = []
+    starts: Sequence[RootEntry] = ()
     for p in sorted(polys, key=lambda q: -abs(q.coefficients[-1])):
         if p.degree == 0:
             continue
         try:
-            starts = [e.value for e in find_roots(p).entries]
+            starts = find_roots(p).entries
         except RootFindingError:
             continue
         break
 
-    found: list[tuple[complex, float]] = []
+    # derivatives[i] holds the i-th derivatives of the probe polynomials.  A
+    # common root of multiplicity m is a simple root of the (m-1)th ones.
+    derivatives = [polys]
+    found: list[tuple[complex, int, float]] = []
     for start in starts:
-        c = _polish(polys, derivs, start)
+        m = start.multiplicity
+        while len(derivatives) <= m:
+            derivatives.append([p.derivative() for p in derivatives[-1]])
+        c = _gauss_newton(derivatives[m - 1], derivatives[m], start.value)
         if not cmath.isfinite(c):
             continue
         residual = _max_residual(polys, c)
         if residual <= tol:
-            found.append((c, residual))
+            found.append((c, m, residual))
 
-    merged: list[tuple[complex, float]] = []
-    for c, residual in sorted(found, key=lambda item: item[1]):
-        for j, (existing, _) in enumerate(merged):
-            if abs(c - existing) <= 1e-6 * (1 + abs(existing)):
-                break
-        else:
-            merged.append((c, residual))
+    merged: list[tuple[complex, int, float]] = []
+    for c, m, residual in sorted(found, key=lambda item: item[2]):
+        if all(abs(c - existing) > 1e-6 * (1 + abs(existing)) for existing, _, _ in merged):
+            merged.append((c, m, residual))
 
-    constants = [
-        ReductionConstant(c, _common_multiplicity(polys, c), residual)
-        for c, residual in merged
-    ]
+    constants = [ReductionConstant(c, m, residual) for c, m, residual in merged]
     constants.sort(key=lambda rc: (rc.value.real, rc.value.imag))
     return ReductionConstantSet(tuple(constants), analytic=False)
 

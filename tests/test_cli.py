@@ -1,3 +1,6 @@
+from fractions import Fraction
+from random import Random
+
 import pytest
 from click.testing import CliRunner
 
@@ -201,6 +204,56 @@ class TestSolveLinear:
     def test_requires_linear(self, runner):
         result = runner.invoke(main, ["solve-linear", eq("exp.eq"), "--init", "1,1", "--n", "3"])
         assert result.exit_code == 2
+
+
+def linear_doc(path, b):
+    path.write_text(
+        f'[equation]\norder = {len(b)}\ngroup = "additive"\nkind = "linear"\n'
+        f'b = [{", ".join(repr(float(c)) for c in b)}]\nforcing = "1"\n'
+    )
+    return str(path)
+
+
+class TestRepeatedEigenvalues:
+    def test_triple_root_factors(self, runner, tmp_path):
+        result = runner.invoke(main, ["factor", linear_doc(tmp_path / "t.eq", [-3, 3, -1])])
+        assert result.exit_code == 0
+        eigenvalues = next(l for l in result.output.splitlines() if l.startswith("eigenvalues:"))
+        assert eigenvalues == "eigenvalues: " + ", ".join(["1 (residual 0.00e+00)"] * 3)
+
+    def test_seeded_documents_run(self, runner, tmp_path):
+        """Roots p/20 with multiplicities 1-3: every route exits 0."""
+        rng = Random(11)
+        for i in range(10):
+            roots = []
+            for _ in range(rng.randrange(1, 3)):
+                roots += [Fraction(rng.randrange(-20, 21), 20)] * rng.randrange(1, 4)
+            if len(roots) == 1:
+                roots.append(Fraction(rng.randrange(-20, 21), 20))
+            coeffs = [Fraction(1)]  # descending
+            for r in roots:
+                coeffs = [a - r * b for a, b in zip(coeffs + [0], [0] + coeffs)]
+            doc = linear_doc(tmp_path / f"d{i}.eq", coeffs[1:])
+            init = ",".join(["1"] * len(roots))
+            for args in (
+                ["factor", doc],
+                ["verify", doc, "--trials", "2", "--steps", "10"],
+                ["solve-linear", doc, "--init", init, "--n", "10"],
+            ):
+                result = runner.invoke(main, args)
+                assert result.exit_code == 0, (roots, args, result.output)
+
+    @pytest.mark.parametrize(
+        "args", [["factor"], ["verify"], ["solve-linear", "--init", "1,1", "--n", "0"]]
+    )
+    def test_root_finding_failure_exits_one_with_one_line(self, runner, tmp_path, args):
+        doc = linear_doc(tmp_path / "huge.eq", [1e200, 1])
+        result = runner.invoke(main, [args[0], doc] + args[1:])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.splitlines() == [
+            "Error: root finding did not converge; best residuals (nan, nan)"
+        ]
 
 
 class TestBifurcate:

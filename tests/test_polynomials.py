@@ -81,6 +81,37 @@ class TestFindRoots:
         rs = find_roots(Polynomial.from_roots([1, 1.00001, 3]))
         assert sorted(e.multiplicity for e in rs.entries) == [1, 1, 1]
 
+    def test_roots_within_rounding_noise_merge(self):
+        rs = find_roots(Polynomial.from_roots([1, 1 + 1e-7, 3]))
+        assert sorted(e.multiplicity for e in rs.entries) == [1, 2]
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    @pytest.mark.parametrize("r", [1, 3, -2, 0.5j, 1 + 1j, 0])
+    def test_power_of_one_factor_is_one_root(self, r, m):
+        rs = find_roots(Polynomial.from_roots([r] * m))
+        assert [e.multiplicity for e in rs.entries] == [m]
+        assert abs(rs.entries[0].value - r) <= 1e-9 * (1 + abs(r))
+
+    def test_mixed_multiplicities(self):
+        rng = Random(7)
+        for _ in range(40):
+            count = rng.randrange(1, 4)
+            want: dict[complex, int] = {}
+            while len(want) < count:
+                r = complex(rng.randrange(-10, 11) / 4, rng.choice([0, rng.randrange(-8, 9) / 4]))
+                if all(abs(r - q) > 0.2 for q in want):
+                    want[r] = rng.randrange(1, 4)
+            rs = find_roots(Polynomial.from_roots([r for r, m in want.items() for _ in range(m)]))
+            assert len(rs.entries) == len(want), want
+            for r, m in want.items():
+                entry = min(rs.entries, key=lambda e: abs(e.value - r))
+                assert entry.multiplicity == m, want
+                assert abs(entry.value - r) <= 1e-9 * (1 + abs(r)), want
+
+    def test_non_finite_approximants_raise(self):
+        with pytest.raises(RootFindingError):
+            find_roots(Polynomial((1, 1e200, 1)))
+
     def test_random_polynomials_against_numpy(self):
         rng = Random(42)
         for _ in range(50):

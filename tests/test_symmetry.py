@@ -181,10 +181,18 @@ class TestReductionConstants:
             assert len(numeric) == len(analytic), b
             assert max(abs(x - y) for x, y in zip(numeric, analytic)) < 1e-8, b
 
-    @pytest.mark.parametrize("b, multiplicity", [([-3, 3, -1], 3), ([-4, 6, -4, 1], 4)])
-    def test_repeated_root_of_separable_form(self, b, multiplicity):
-        """(z - 1)^m: the noise ball of a multiple root must not split it."""
-        result = solve_reduction_constant(as_separable_additive(linear_equation(b)))
+    @pytest.mark.parametrize(
+        "b, multiplicity, route",
+        [
+            pytest.param([-3, 3, -1], 3, as_separable_additive, id="b0-3"),
+            pytest.param([-4, 6, -4, 1], 4, as_separable_additive, id="b1-4"),
+            pytest.param([-3, 3, -1], 3, lambda eq: eq, id="analytic-3"),
+        ],
+    )
+    def test_repeated_root_of_separable_form(self, b, multiplicity, route):
+        """(z - 1)^m: the noise ball of a multiple root must not split it,
+        on the probe polynomials and on the characteristic polynomial."""
+        result = solve_reduction_constant(route(linear_equation(b)))
         assert len(result.constants) == 1
         rc = result.constants[0]
         assert rc.multiplicity == multiplicity
