@@ -45,13 +45,17 @@ from .expressions import (
 from .factorization import (
     EquivalenceReport,
     FactorizationError,
+    NoFormSymmetryError,
     ScFactorization,
     SemiconjugacyReport,
+    TrialSummary,
     TriangularSystem,
+    as_sc_factorization,
     factor_hd1,
     factor_linear_full,
     factor_separable_additive,
     factor_separable_multiplicative,
+    factorize,
     make_factorization,
     render_factorization,
     render_triangular_system,
@@ -59,6 +63,7 @@ from .factorization import (
     simulate_factorization,
     verify_equivalence,
     verify_semiconjugacy,
+    verify_trials,
 )
 from .dynamics import (
     BifurcationData,

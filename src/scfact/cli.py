@@ -10,7 +10,6 @@ all numbers are decimal doubles.  Commands are deterministic for a given
 from __future__ import annotations
 
 import cmath
-from random import Random
 from typing import Optional
 
 import click
@@ -23,7 +22,6 @@ from .equations import (
     Linear,
     SeparableAdditive,
     SeparableMultiplicative,
-    as_separable_additive,
     detect_period,
     iterate_orbit,
     load_equation_file,
@@ -33,22 +31,17 @@ from .equations import (
 from .expressions import format_complex
 from .factorization import (
     FactorizationError,
-    ScFactorization,
-    factor_hd1,
+    TriangularSystem,
+    as_sc_factorization,
     factor_linear_full,
-    factor_separable_additive,
-    factor_separable_multiplicative,
+    factorize,
     render_factorization,
     render_triangular_system,
-    verify_equivalence,
     verify_semiconjugacy,
+    verify_trials,
 )
 from .polynomials import PolynomialError, solve_order2_closed_form
-from .symmetry import (
-    ConstantValidationError,
-    check_hd1,
-    solve_reduction_constant,
-)
+from .symmetry import SymmetryError
 
 
 def _load(path: str) -> DifferenceEquation:
@@ -94,13 +87,13 @@ def _output(path: Optional[str]):
 
 
 class _Commands(click.Group):
-    """Every :class:`PolynomialError` (root finding, deflation) ends a
-    command with a one-line message and exit 1."""
+    """Every typed library error (root finding, deflation, symmetry search
+    and validation, factorization) ends a command with one line and exit 1."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except PolynomialError as exc:
+        except (PolynomialError, FactorizationError, SymmetryError) as exc:
             raise click.ClickException(str(exc))
 
 
@@ -138,44 +131,6 @@ def simulate(file, init_text, steps, out, tol, seed):
         raise SystemExit(1)
 
 
-def _choose_constant(constants, requested: Optional[complex]) -> complex:
-    if requested is not None:
-        return requested
-    if not constants.constants:
-        raise click.ClickException("no form symmetry found")
-    return constants.constants[0].value
-
-
-def _build_sc_factorization(
-    eq: DifferenceEquation,
-    constant: Optional[complex],
-    tol: float,
-    seed: int,
-    validate: bool = True,
-) -> tuple[ScFactorization, Optional[object]]:
-    """Dispatch on kind; returns the factorization and, for separable kinds,
-    the full constant set for reporting."""
-    kind = eq.kind
-    try:
-        if isinstance(kind, (SeparableAdditive, SeparableMultiplicative)):
-            constants = solve_reduction_constant(eq, tol=tol)
-            c = _choose_constant(constants, constant)
-            if isinstance(kind, SeparableAdditive):
-                return factor_separable_additive(eq, c, validate=validate, tol=tol), constants
-            return factor_separable_multiplicative(eq, c, validate=validate, tol=tol), constants
-        if isinstance(kind, General):
-            report = check_hd1(eq, samples=500, tol=1e-9, seed=seed)
-            if not report.verdict:
-                raise click.ClickException(
-                    "no form symmetry found "
-                    f"(HD1 check failed with max residual {report.max_residual:.3e})"
-                )
-            return factor_hd1(eq, seed=seed), None
-    except (ConstantValidationError, FactorizationError) as exc:
-        raise click.ClickException(str(exc))
-    raise click.ClickException("linear equations use the triangular route")
-
-
 @main.command()
 @click.argument("file", type=click.Path(exists=True, dir_okay=False))
 @click.option("--constant", default=None, help="reduction constant as 're,im'")
@@ -187,11 +142,11 @@ def factor(file, constant, out, tol, seed):
     eq = _load(file)
     requested = _parse_complex(constant) if constant is not None else None
     with _output(out) as fh:
-        if isinstance(eq.kind, Linear):
-            system = factor_linear_full(eq)
-            fh.write(render_triangular_system(system) + "\n")
+        fact, constants = factorize(eq, requested, tol, seed)
+        if isinstance(fact, TriangularSystem):
+            fh.write(render_triangular_system(fact) + "\n")
             return
-        fact, constants = _build_sc_factorization(eq, requested, tol, seed)
+        residual = None
         if constants is not None:
             lines = [
                 f"  c = {format_complex(rc.value)} (multiplicity {rc.multiplicity}, "
@@ -199,28 +154,10 @@ def factor(file, constant, out, tol, seed):
                 for rc in constants.constants
             ]
             fh.write("reduction constants:\n" + "\n".join(lines) + "\n")
-        residual = None
-        if constants is not None and fact.symmetry.constant is not None:
             for rc in constants.constants:
                 if abs(rc.value - fact.symmetry.constant) <= 1e-9 * (1 + abs(rc.value)):
                     residual = rc.residual
         fh.write(render_factorization(fact, residual) + "\n")
-
-
-def _random_init(
-    eq: DifferenceEquation, rng: Random, narrow: bool = False
-) -> tuple[complex, ...]:
-    # A factorization with a complex reduction constant realizes complex
-    # powers on the principal branch, which is faithful only while the
-    # reduced variable's logarithm stays inside (-pi, pi); narrower draws
-    # keep the whole orbit in that region.
-    if narrow and not eq.group.is_additive:
-        from math import exp
-
-        return tuple(
-            complex(exp(rng.uniform(-1.5, 1.5))) for _ in range(eq.order)
-        )
-    return tuple(eq.group.sample(rng) for _ in range(eq.order))
 
 
 @main.command()
@@ -234,56 +171,24 @@ def verify(file, steps, trials, seed, tol, constant):
     """Check the semiconjugacy identity and solution equivalence."""
     eq = _load(file)
     requested = _parse_complex(constant) if constant is not None else None
-    equivalence_tol = max(tol, 1e-9)
-
-    if isinstance(eq.kind, Linear):
-        system = factor_linear_full(eq)
-        sep = as_separable_additive(eq)
-        fact = factor_separable_additive(sep, system.eigenvalues[0])
-        target = system
-    else:
-        fact, _ = _build_sc_factorization(
-            eq, requested, 1e-8, seed, validate=requested is None
-        )
-        target = fact
-
-    semi = verify_semiconjugacy(
-        eq, fact.symmetry, fact.factor, samples=200, tol=tol, seed=seed
-    )
+    fact, _ = factorize(eq, requested, seed=seed, validate=requested is None)
+    route = as_sc_factorization(fact)
+    semi = verify_semiconjugacy(eq, route.symmetry, route.factor, samples=200, tol=tol, seed=seed)
     status = "pass" if semi.passed else "FAIL"
     click.echo(
         f"semiconjugacy: {status} ({semi.samples} samples, "
         f"max residual {semi.max_residual:.3e})"
     )
 
-    rng = Random(seed)
-    worst = 0.0
-    failures = 0
-    complex_route = (
-        fact.symmetry.constant is not None and fact.symmetry.constant.imag != 0
-    )
-    real_reconstruction = True
-    for _ in range(trials):
-        report = None
-        for _attempt in range(10):
-            init = _random_init(eq, rng, narrow=complex_route)
-            report = verify_equivalence(eq, target, init, steps, tol=equivalence_tol)
-            if report.failure_index is None or report.passed:
-                break
-        assert report is not None
-        worst = max(worst, report.max_residual)
-        if not report.passed:
-            failures += 1
-        if report.max_reconstructed_imag > 1e-8:
-            real_reconstruction = False
-    status = "pass" if failures == 0 else f"FAIL ({failures} of {trials} trials)"
+    summary = verify_trials(eq, fact, trials, steps, seed, tol)
+    status = "pass" if summary.failures == 0 else f"FAIL ({summary.failures} of {trials} trials)"
     click.echo(
         f"equivalence: {status} ({trials} trials x {steps} steps, "
-        f"max residual {worst:.3e})"
+        f"max residual {summary.max_residual:.3e})"
     )
-    if complex_route and real_reconstruction and failures == 0:
+    if summary.complex_route and summary.real_reconstruction and summary.failures == 0:
         click.echo("note: complex intermediates, real orbit")
-    if failures or not semi.passed:
+    if summary.failures or not semi.passed:
         raise SystemExit(1)
 
 

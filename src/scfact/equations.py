@@ -391,14 +391,7 @@ def as_separable_additive(eq: DifferenceEquation) -> DifferenceEquation:
     if not isinstance(eq.kind, Linear):
         raise TypeError("only linear equations convert to separable-additive form")
     comps = tuple(Const(-b) * Var("x") for b in eq.kind.coefficients)
-    return DifferenceEquation(
-        eq.order,
-        eq.group,
-        SeparableAdditive(comps, eq.kind.forcing),
-        eq.params,
-        eq.name,
-        eq.var,
-    )
+    return DifferenceEquation(eq.order, eq.group, SeparableAdditive(comps, eq.kind.forcing), eq.params, eq.name, eq.var)
 
 
 # ----------------------------------------------------------------------

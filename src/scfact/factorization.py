@@ -25,6 +25,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from functools import cached_property
+from math import exp
 from random import Random
 from typing import Optional, Sequence, Union
 
@@ -34,8 +35,10 @@ from .equations import (
     GroupTag,
     Linear,
     Orbit,
+    SeparableAdditive,
     _orbit_loop,
     as_general,
+    as_separable_additive,
     iterate_orbit,
     render_equation,
 )
@@ -58,20 +61,27 @@ from .polynomials import (
 from .symmetry import (
     FormSymmetry,
     Inversion,
+    ReductionConstantSet,
     UnaryComponents,
     build_additive_form_symmetry,
     build_multiplicative_form_symmetry,
+    check_hd1,
     evaluate_form_symmetry,
     probe_set,
+    solve_reduction_constant,
 )
 
 __all__ = [
     "ScFactorization",
     "TriangularSystem",
     "FactorizationError",
+    "NoFormSymmetryError",
     "SemiconjugacyReport",
     "EquivalenceReport",
+    "TrialSummary",
     "make_factorization",
+    "factorize",
+    "as_sc_factorization",
     "factor_hd1",
     "factor_separable_additive",
     "factor_separable_multiplicative",
@@ -80,6 +90,7 @@ __all__ = [
     "simulate_cascade",
     "verify_semiconjugacy",
     "verify_equivalence",
+    "verify_trials",
     "render_factorization",
     "render_triangular_system",
 ]
@@ -87,6 +98,10 @@ __all__ = [
 
 class FactorizationError(Exception):
     pass
+
+
+class NoFormSymmetryError(FactorizationError):
+    """No recipe here constructs a form symmetry of the equation."""
 
 
 @dataclass(frozen=True)
@@ -397,6 +412,44 @@ def factor_linear_full(
     return TriangularSystem(eq, tuple(roots), tuple(levels), tuple(residuals))
 
 
+def factorize(
+    eq: DifferenceEquation, constant: Optional[complex] = None, tol: float = 1e-8, seed: int = 0, validate: bool = True
+) -> tuple[Union[ScFactorization, TriangularSystem], Optional[ReductionConstantSet]]:
+    """Factor ``eq`` by the recipe of its kind: completely if linear
+    (``constant`` is ignored), by substitution if ``check_hd1`` finds it HD1
+    on 500 samples, and by ``constant`` (default: its first reduction
+    constant) if separable.  Returns the factorization and, for the separable
+    kinds, every reduction constant found.  Raises :class:`NoFormSymmetryError`
+    when the equation has no form symmetry."""
+    kind = eq.kind
+    if isinstance(kind, Linear):
+        return factor_linear_full(eq), None
+    if isinstance(kind, General):
+        report = check_hd1(eq, samples=500, tol=1e-9, seed=seed)
+        if not report.verdict:
+            raise NoFormSymmetryError(
+                "no form symmetry found "
+                f"(HD1 check failed with max residual {report.max_residual:.3e})"
+            )
+        return factor_hd1(eq, seed=seed), None
+    constants = solve_reduction_constant(eq, tol=tol)
+    if constant is None:
+        if not constants.constants:
+            raise NoFormSymmetryError("no form symmetry found")
+        constant = constants.constants[0].value
+    build = factor_separable_additive if isinstance(kind, SeparableAdditive) else factor_separable_multiplicative
+    return build(eq, constant, validate=validate, tol=tol), constants
+
+
+def as_sc_factorization(fact: Union[ScFactorization, TriangularSystem]) -> ScFactorization:
+    """``fact`` itself, or for a triangular system its first level as a
+    form-symmetry factorization: the type-(1,k) reduction of the equation in
+    separable-additive form by ``eigenvalues[0]``."""
+    if isinstance(fact, TriangularSystem):
+        return factor_separable_additive(as_separable_additive(fact.source), fact.eigenvalues[0])
+    return fact
+
+
 # ----------------------------------------------------------------------
 # Simulation through a factorization
 # ----------------------------------------------------------------------
@@ -504,9 +557,7 @@ def verify_semiconjugacy(
             rhs = (factor.step(list(image), n),) + tuple(image[:-1])
         except EvaluationError:
             continue
-        residual = max(
-            abs(a - b) / (1 + abs(b)) for a, b in zip(lhs, rhs)
-        )
+        residual = max(abs(a - b) / (1 + abs(b)) for a, b in zip(lhs, rhs))
         tested += 1
         if residual > max_residual:
             max_residual = residual
@@ -542,14 +593,9 @@ def verify_equivalence(
         idx = min(
             v for v in (direct.truncated_at, via.truncated_at) if v is not None
         )
-        which = "direct path" if direct.truncated_at == idx else "factorization path"
-        reason = (
-            direct.truncation_reason
-            if direct.truncated_at == idx
-            else via.truncation_reason
-        )
+        first, which = (direct, "direct path") if direct.truncated_at == idx else (via, "factorization path")
         return EquivalenceReport(
-            False, steps, float("inf"), idx, note=f"domain error on the {which}: {reason}"
+            False, steps, float("inf"), idx, note=f"domain error on the {which}: {first.truncation_reason}"
         )
     max_residual = 0.0
     max_imag = 0.0
@@ -566,6 +612,56 @@ def verify_equivalence(
     return EquivalenceReport(
         max_residual <= tol, steps, max_residual, failure, max_reconstructed_imag=max_imag
     )
+
+
+@dataclass(frozen=True)
+class TrialSummary:
+    """What :func:`verify_trials` found.  ``complex_route``: the reduction
+    constant is complex; ``real_reconstruction``: every trial rebuilt a real
+    orbit (imaginary parts at most 1e-8 relative)."""
+
+    trials: int
+    failures: int
+    max_residual: float
+    complex_route: bool
+    real_reconstruction: bool
+
+
+def verify_trials(
+    eq: DifferenceEquation, fact: Union[ScFactorization, TriangularSystem],
+    trials: int = 20, steps: int = 100, seed: int = 0, tol: float = 1e-9,
+) -> TrialSummary:
+    """Run :func:`verify_equivalence` from ``trials`` initial states drawn
+    from ``Random(seed)``, at relative tolerance ``max(tol, 1e-9)``.  A trial
+    that fails for any reason (a domain error on either path, or a residual
+    over the tolerance) is redrawn, up to 10 draws in all; its last draw
+    counts."""
+    tol = max(tol, 1e-9)
+    c = fact.eigenvalues[0] if isinstance(fact, TriangularSystem) else fact.symmetry.constant
+    complex_route = c is not None and c.imag != 0
+    # A complex reduction constant realizes complex powers on the principal
+    # branch, which is faithful only while the reduced variable's logarithm
+    # stays inside (-pi, pi); narrower draws keep the whole orbit there.
+    narrow = complex_route and not eq.group.is_additive
+    rng = Random(seed)
+    worst = 0.0
+    failures = 0
+    real_reconstruction = True
+    for _ in range(trials):
+        for _attempt in range(10):
+            if narrow:
+                init = tuple(complex(exp(rng.uniform(-1.5, 1.5))) for _ in range(eq.order))
+            else:
+                init = tuple(eq.group.sample(rng) for _ in range(eq.order))
+            report = verify_equivalence(eq, fact, init, steps, tol=tol)
+            if report.failure_index is None:
+                break
+        worst = max(worst, report.max_residual)
+        if not report.passed:
+            failures += 1
+        if report.max_reconstructed_imag > 1e-8:
+            real_reconstruction = False
+    return TrialSummary(trials, failures, worst, complex_route, real_reconstruction)
 
 
 # ----------------------------------------------------------------------

@@ -156,6 +156,38 @@ class TestVerify:
         result = runner.invoke(main, ["verify", eq("2hd1.eq"), "--trials", "8", "--steps", "40"])
         assert result.exit_code == 0
 
+    @pytest.mark.parametrize(
+        "name, called",
+        [
+            ("exp.eq", ["solve_reduction_constant", "factor_separable_multiplicative"]),
+            ("lin2_sep.eq", ["solve_reduction_constant", "factor_separable_additive"]),
+            ("2hd1.eq", ["check_hd1", "factor_hd1"]),
+            ("lin_32.eq", ["factor_linear_full", "factor_separable_additive"]),
+        ],
+    )
+    def test_library_calls_go_through_module_names(self, runner, monkeypatch, name, called):
+        """bench/tracer.py counts calls by patching ``scfact.factorization``'s
+        namespace, so the library must look each function up there."""
+        import scfact.factorization as module
+
+        counts = {}
+
+        def counting(attr):
+            original = getattr(module, attr)
+
+            def counted(*args, **kwargs):
+                counts[attr] = counts.get(attr, 0) + 1
+                return original(*args, **kwargs)
+
+            return counted
+
+        for attr in called + ["verify_equivalence"]:
+            monkeypatch.setattr(module, attr, counting(attr))
+        result = runner.invoke(main, ["verify", eq(name), "--trials", "4", "--steps", "10"])
+        assert result.exit_code == 0, result.output
+        assert all(counts.get(attr) == 1 for attr in called), counts
+        assert counts["verify_equivalence"] >= 4
+
 
 class TestSolveLinear:
     def test_three_routes_agree(self, runner):
@@ -206,12 +238,26 @@ class TestSolveLinear:
         assert result.exit_code == 2
 
 
-def linear_doc(path, b):
-    path.write_text(
+def linear_text(b):
+    return (
         f'[equation]\norder = {len(b)}\ngroup = "additive"\nkind = "linear"\n'
         f'b = [{", ".join(repr(float(c)) for c in b)}]\nforcing = "1"\n'
     )
+
+
+def linear_doc(path, b):
+    path.write_text(linear_text(b))
     return str(path)
+
+
+# Documents whose right-hand side fails at every draw: the HD1 check and the
+# semiconjugacy check exhaust their sampling budgets.
+DOMAIN_ERROR_DOCS = {
+    "separable": '[equation]\norder = 2\ngroup = "additive"\nkind = "separable"\n'
+                 'phi0 = "3*x"\nphi1 = "-2*x"\nforcing = "1/(n-n)"\n',
+    "general": '[equation]\norder = 2\ngroup = "additive"\nkind = "general"\nrhs = "x0/(n-n)"\n',
+}
+ROOT_FAILURE = "Error: root finding did not converge; best residuals (nan, nan)"
 
 
 class TestRepeatedEigenvalues:
@@ -244,16 +290,27 @@ class TestRepeatedEigenvalues:
                 assert result.exit_code == 0, (roots, args, result.output)
 
     @pytest.mark.parametrize(
-        "args", [["factor"], ["verify"], ["solve-linear", "--init", "1,1", "--n", "0"]]
+        "args, text, message",
+        [
+            (["factor"], linear_text([1e200, 1]), ROOT_FAILURE),
+            (["verify"], linear_text([1e200, 1]), ROOT_FAILURE),
+            (["solve-linear", "--init", "1,1", "--n", "0"], linear_text([1e200, 1]), ROOT_FAILURE),
+            (["verify"], DOMAIN_ERROR_DOCS["separable"],
+             "Error: domain errors exhausted the sampling budget (2000 draws)"),
+            (["factor"], DOMAIN_ERROR_DOCS["general"],
+             "Error: domain errors exhausted the sampling budget (5000 draws)"),
+        ],
+        ids=["args0", "args1", "args2", "separable-semiconjugacy-budget", "general-hd1-budget"],
     )
-    def test_root_finding_failure_exits_one_with_one_line(self, runner, tmp_path, args):
-        doc = linear_doc(tmp_path / "huge.eq", [1e200, 1])
-        result = runner.invoke(main, [args[0], doc] + args[1:])
+    def test_root_finding_failure_exits_one_with_one_line(self, runner, tmp_path, args, text, message):
+        """A typed library error (root finding, a sampling budget) ends the
+        command with one line and exit 1."""
+        doc = tmp_path / "doc.eq"
+        doc.write_text(text)
+        result = runner.invoke(main, [args[0], str(doc)] + args[1:])
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
-        assert result.output.splitlines() == [
-            "Error: root finding did not converge; best residuals (nan, nan)"
-        ]
+        assert result.output.splitlines() == [message]
 
 
 class TestBifurcate:

@@ -27,12 +27,24 @@ from scfact import (
     verify_equivalence,
     verify_semiconjugacy,
 )
-from scfact import check_hd1
+from scfact import (
+    NoFormSymmetryError,
+    TrialSummary,
+    TriangularSystem,
+    UnaryComponents,
+    as_sc_factorization,
+    check_hd1,
+    factorize,
+    load_equation_file,
+    verify_trials,
+)
 from scfact.factorization import FactorizationError
+from scfact.symmetry import ConstantValidationError
 from scfact.expressions import EvaluationError, Var, evaluate
 
 from helpers import (
     C_PLUS,
+    EQUATIONS_DIR,
     draw_hs3_init,
     hd0_cycle,
     make_2hd1,
@@ -576,3 +588,72 @@ def test_make_factorization_checks_arity():
     assert make_factorization(eq, sym, good_factor).m == 2
     with pytest.raises(ValueError):
         make_factorization(eq, sym, general_equation("x0", 1, GroupTag.ADDITIVE_REAL))
+
+
+class TestEntryPoints:
+    """``factorize`` and ``verify_trials``, the library side of ``scfact
+    factor`` and ``scfact verify``."""
+
+    @staticmethod
+    def load(name):
+        return load_equation_file(EQUATIONS_DIR / f"{name}.eq")
+
+    def test_factorize_separable_multiplicative(self):
+        fact, constants = factorize(self.load("exp"))
+        assert isinstance(fact.symmetry.shape, UnaryComponents)
+        assert [rc.value for rc in constants.constants] == [fact.symmetry.constant]
+        assert abs(fact.symmetry.constant + 1) < 1e-12
+
+    def test_factorize_separable_additive_takes_the_first_constant(self):
+        fact, constants = factorize(self.load("lin2_sep"))
+        assert [round(rc.value.real, 9) for rc in constants.constants] == [1, 2]
+        assert fact.symmetry.constant == constants.constants[0].value
+        assert fact.factor.var == "z"
+
+    def test_factorize_hd1(self):
+        fact, constants = factorize(self.load("2hd1"))
+        assert isinstance(fact.symmetry.shape, Inversion) and fact.m == 2
+        assert constants is None
+
+    def test_factorize_linear_is_triangular(self):
+        eq = self.load("lin_32")
+        system, constants = factorize(eq, constant=5)  # the constant is ignored
+        assert isinstance(system, TriangularSystem) and constants is None
+        assert [round(c.real, 9) for c in system.eigenvalues] == [2, 1]
+        route = as_sc_factorization(system)
+        assert route.symmetry.constant == system.eigenvalues[0]
+        assert verify_semiconjugacy(eq, route.symmetry, route.factor).passed
+
+    @pytest.mark.parametrize(
+        "name, residual", [("nonred", "1.866e+01"), ("hd0", "1.373e+01")]
+    )
+    def test_no_hd1_symmetry(self, name, residual):
+        with pytest.raises(NoFormSymmetryError) as info:
+            factorize(self.load(name), seed=7)
+        assert str(info.value) == f"no form symmetry found (HD1 check failed with max residual {residual})"
+
+    def test_no_reduction_constant(self):
+        with pytest.raises(NoFormSymmetryError, match="^no form symmetry found$"):
+            factorize(separable_additive_equation(["x^2", "x"]))
+
+    def test_given_constant_is_validated_unless_asked_not_to(self):
+        eq = self.load("exp")
+        with pytest.raises(ConstantValidationError):
+            factorize(eq, constant=0.5)
+        fact, _ = factorize(eq, constant=0.5, validate=False)
+        assert fact.symmetry.constant == 0.5
+
+    def test_verify_trials_matches_the_cli(self):
+        """``scfact verify equations/hs.eq --steps 60 --trials 20 --seed 7``
+        prints max residual 8.343e-15 and the complex-intermediates note."""
+        eq = self.load("hs")
+        fact, _ = factorize(eq, seed=7)
+        summary = verify_trials(eq, fact, trials=20, steps=60, seed=7, tol=1e-9)
+        assert summary == TrialSummary(20, 0, summary.max_residual, True, True)
+        assert f"{summary.max_residual:.3e}" == "8.343e-15"
+
+    def test_injected_bad_constant_fails(self):
+        eq = self.load("exp")
+        fact, _ = factorize(eq, constant=0.5, validate=False)
+        summary = verify_trials(eq, fact, trials=4, steps=30)
+        assert summary.failures == 4 and not summary.complex_route
