@@ -52,6 +52,14 @@ def _cases() -> list[list[str]]:
         ["bifurcate", _doc("exp"), "--fix", "x-1=2.3", "--sweep", "x0=2.3:4.8:500",
          "--transient", "100", "--keep", "200", "--out", "-"],
     ]
+    # Orbits past the double range: `simulate` writes `nan` rows and exits 0;
+    # `solve-linear` overflows in direct iteration (init 0,1) and in the
+    # closed form's 2^2000 (init 1,1, where every x_n is 1).
+    cases += [
+        ["simulate", _doc("lin_32"), "--init", "0,1", "--steps", "1100"],
+        ["solve-linear", _doc("lin_32"), "--init", "0,1", "--n", "2000"],
+        ["solve-linear", _doc("lin_32"), "--init", "1,1", "--n", "2000"],
+    ]
     # One small sweep per equation kind.
     for name, fix, sweep in (
         ("exp", "x-1=2.3", "x0=0.5:3.5:5"),

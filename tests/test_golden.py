@@ -6,6 +6,12 @@ import pytest
 
 from golden_corpus import CASES, HEADER, ROOT, case_name, environment, golden_path, record
 
+REGENERATION_RULE = (
+    "if the change is intended, regenerate with scripts/regen_golden.py, and "
+    "list each file that it reports as added, changed or deleted in CHANGES.md "
+    "with the reason it changed"
+)
+
 
 @pytest.fixture(autouse=True)
 def _at_root(monkeypatch):
@@ -19,4 +25,7 @@ def test_output_matches_corpus(args):
         f"the golden corpus was recorded on\n{recorded}but this is\n{environment()}"
         "regenerate it with scripts/regen_golden.py on this platform"
     )
-    assert record(args) == golden_path(args).read_text(encoding="utf-8")
+    path = golden_path(args)
+    assert record(args) == path.read_text(encoding="utf-8"), (
+        f"output differs from {path.relative_to(ROOT)}; {REGENERATION_RULE}"
+    )
