@@ -223,10 +223,7 @@ def solve_linear(file, init_text, n_index, tol, seed):
     click.echo(f"triangular cascade: x_{n_index} = {format_complex(cascade)}")
     values = [direct, cascade]
     if eq.order == 2:
-        try:
-            closed = solve_order2_closed_form(eq, init, n_index)
-        except OverflowError as exc:
-            raise click.ClickException(f"closed form: x_{n_index} overflows ({exc})")
+        closed = solve_order2_closed_form(eq, init, n_index)
         click.echo(f"closed form: x_{n_index} = {format_complex(closed)}")
         values.append(closed)
     scale = 1 + abs(direct)

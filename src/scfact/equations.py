@@ -20,8 +20,10 @@ Equations are immutable; orbit iteration is single-threaded per call and
 concurrent iteration of the same equation is safe.
 
 Orbits run in one compiled loop per equation (``_orbit_loop``), generated
-on first use around the lowered right-hand side; the cofactor rebuild of
-``factorization.simulate_cascade`` uses the same loop.  It performs the
+on first use around the lowered right-hand side.  The cofactor rebuild of
+``factorization.simulate_cascade`` and the first-order stages of a linear
+equation's triangular cascade (``TriangularSystem.simulate``) use the same
+loop, so every orbit of the package runs through it.  It performs the
 operations of one :meth:`DifferenceEquation.step` per index in the same
 order, so the values are equal (``==``), at about 1 us per step of
 ``exp.eq`` against 4.5 us for a loop over ``step`` (2-vCPU VM, Python 3.11).

@@ -347,39 +347,34 @@ class TriangularSystem:
             out.append(z)
         return tuple(out)
 
+    @cached_property
+    def _stages(self):
+        """The stages compiled once by ``_orbit_loop``: stage 0 runs
+        ``alpha(n) + c_0*z`` for a number of steps, and each later stage is
+        driven by the values of the stage above, ``t + c_i*z``."""
+        src = self.source
+        head, *rest = (Const(c) * Var("x0") for c in self.eigenvalues)
+        first = _orbit_loop(lower(src.kind.forcing + head, ("n", "x0"), src.params), 1)
+        return (first,) + tuple(
+            _orbit_loop(lower(Var("t") + term, ("n", "t", "x0")), 1, driven=True) for term in rest
+        )
+
     def simulate(
         self, init: Sequence[complex], steps: int
     ) -> tuple[Orbit, tuple[tuple[complex, ...], ...]]:
         """Run the cascade; returns the reconstructed orbit and every
-        stage's value row (stage 0 is the innermost factor)."""
-        z = list(self.stage_initial_values(init))
-        rows = [[v] for v in z]
-        values: list[complex] = []
-        truncated_at = None
-        reason = None
-        k = self.order - 1
-        for n in range(steps):
-            try:
-                feed = self.source.forcing_at(n)
-            except EvaluationError as exc:
-                truncated_at, reason = n + 1, str(exc)
-                break
-            for i in range(k + 1):
-                feed = feed + self.eigenvalues[i] * z[i]
-                z[i] = feed
-                rows[i].append(feed)
-            values.append(z[k])
-        return (
-            Orbit(
-                tuple(complex(v) for v in init),
-                tuple(values),
-                truncated_at,
-                reason,
-                self.source.name,
-                self.source.params,
-            ),
-            tuple(tuple(row) for row in rows),
-        )
+        stage's value row (stage 0 is the innermost factor).  A forcing
+        error truncates every stage at the same index."""
+        z = self.stage_initial_values(init)
+        head, *rest = self._stages
+        values, truncated_at, reason = head(z[:1], steps)
+        rows = [z[:1] + tuple(values)]
+        for run, start in zip(rest, z[1:]):
+            values = run((start,), values)[0]
+            rows.append((start,) + tuple(values))
+        src = self.source
+        orbit = Orbit(tuple(complex(v) for v in init), rows[-1][1:], truncated_at, reason, src.name, src.params)
+        return orbit, tuple(rows)
 
 
 def factor_linear_full(

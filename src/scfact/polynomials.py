@@ -371,6 +371,8 @@ def solve_order2_closed_form(
     The double sum makes n - 1 forcing calls and n - 1 powers, and then
     about n^2/2 products and additions: those of the nested ``sigma``, in
     its order, so the result equals it (``==``; see the module notes).
+    A power past the double range raises :class:`PolynomialError`, even
+    when ``x_n`` itself is small.
     """
     if not isinstance(eq.kind, Linear) or eq.order != 2:
         raise TypeError("closed form requires a linear equation of order 2")
@@ -379,7 +381,10 @@ def solve_order2_closed_form(
     x_m1, x_0 = (complex(v) for v in init)
     z0 = x_0 + (c0 + b0) * x_m1
     gamma0 = eq.forcing_at(0) + c0 * z0
-    return x_0 * c1**n + sigma_closed_form(gamma0, c0, c1, n) + sigma(_inner_sums(eq, c0, n), c1, n)
+    try:
+        return x_0 * c1**n + sigma_closed_form(gamma0, c0, c1, n) + sigma(_inner_sums(eq, c0, n), c1, n)
+    except OverflowError as exc:  # a power such as c_0^n left the double range
+        raise PolynomialError(f"closed form: x_{n} overflows ({exc})") from None
 
 
 def _inner_sums(eq: DifferenceEquation, c: complex, n: int) -> list[complex]:

@@ -270,11 +270,9 @@ def check_hd1(
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ReductionConstant:
-    value: complex
-    multiplicity: int
-    residual: float
+#: A reduction constant with its multiplicity and residual: the same record
+#: as a characteristic root.
+ReductionConstant = RootEntry
 
 
 @dataclass(frozen=True)
@@ -414,13 +412,8 @@ def solve_reduction_constant(
     """
     if isinstance(eq.kind, Linear):
         roots = find_roots(characteristic_polynomial(eq))
-        entries = sorted(
-            roots.entries, key=lambda e: (e.value.real, e.value.imag)
-        )
-        return ReductionConstantSet(
-            tuple(ReductionConstant(e.value, e.multiplicity, e.residual) for e in entries),
-            analytic=True,
-        )
+        entries = sorted(roots.entries, key=lambda e: (e.value.real, e.value.imag))
+        return ReductionConstantSet(tuple(entries), analytic=True)
     if isinstance(eq.kind, General):
         raise TypeError("reduction constants require a linear or separable equation")
     polys = probe_set(eq).polys
@@ -464,10 +457,10 @@ def solve_reduction_constant(
 # ----------------------------------------------------------------------
 
 
-def _validated(eq: DifferenceEquation, c: complex, validate: bool, tol: float, residual_fn) -> complex:
+def _validated(eq: DifferenceEquation, c: complex, validate: bool, tol: float) -> complex:
     c = complex(c)
     if validate:
-        residual = residual_fn(eq, c)
+        residual = _max_residual(probe_set(eq).polys, c)
         if residual > tol:
             raise ConstantValidationError(c, residual, tol)
     return c
@@ -480,7 +473,7 @@ def build_additive_form_symmetry(
     for j = 1..k, assembled as expression trees."""
     if not isinstance(eq.kind, SeparableAdditive):
         raise TypeError("additive symmetry construction requires a separable-additive equation")
-    c = _validated(eq, c, validate, tol, additive_reduction_residual)
+    c = _validated(eq, c, validate, tol)
     phis = eq.kind.components
     k = eq.order - 1
     components = []
@@ -501,7 +494,7 @@ def build_multiplicative_form_symmetry(
         raise TypeError(
             "multiplicative symmetry construction requires a separable-multiplicative equation"
         )
-    c = _validated(eq, c, validate, tol, multiplicative_reduction_residual)
+    c = _validated(eq, c, validate, tol)
     psis = eq.kind.components
     k = eq.order - 1
     components = []

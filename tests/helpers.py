@@ -8,11 +8,13 @@ from random import Random
 
 from scfact import (
     GroupTag,
+    Orbit,
     general_equation,
     linear_equation,
     separable_additive_equation,
     separable_multiplicative_equation,
 )
+from scfact.expressions import EvaluationError
 
 EQUATIONS_DIR = Path(__file__).resolve().parent.parent / "equations"
 
@@ -108,3 +110,37 @@ def draw_hs3_init(rng: Random) -> tuple[float, float, float]:
     x_m1 = x_m2 + rng.uniform(0.5, 2.5)
     x_0 = x_m1 + rng.uniform(0.5, 2.5)
     return (x_m2, x_m1, x_0)
+
+
+def reference_cascade(system, init, steps):
+    """``TriangularSystem.simulate`` as the hand-written loop it once was:
+    one forcing call per step, then each stage in turn.  The compiled
+    stages must give the same orbit and rows (``repr``-equal)."""
+    z = list(system.stage_initial_values(init))
+    rows = [[v] for v in z]
+    values: list[complex] = []
+    truncated_at = None
+    reason = None
+    k = system.order - 1
+    for n in range(steps):
+        try:
+            feed = system.source.forcing_at(n)
+        except EvaluationError as exc:
+            truncated_at, reason = n + 1, str(exc)
+            break
+        for i in range(k + 1):
+            feed = feed + system.eigenvalues[i] * z[i]
+            z[i] = feed
+            rows[i].append(feed)
+        values.append(z[k])
+    return (
+        Orbit(
+            tuple(complex(v) for v in init),
+            tuple(values),
+            truncated_at,
+            reason,
+            system.source.name,
+            system.source.params,
+        ),
+        tuple(tuple(row) for row in rows),
+    )

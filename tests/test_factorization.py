@@ -1,5 +1,6 @@
 import cmath
 import math
+from array import array
 from dataclasses import replace
 from random import Random
 
@@ -53,6 +54,7 @@ from helpers import (
     make_hd1m_separable,
     make_hs3,
     make_rk,
+    reference_cascade,
     rel_err,
 )
 
@@ -504,6 +506,59 @@ class TestCascadeIsBitIdentical:
         assert r_orbit.truncated_at is None
         assert t_orbit.truncated_at == x_orbit.truncated_at == 4
         assert len(x_orbit.values) == len(t_orbit.values) == 3
+
+
+CASCADE_FORCINGS = ("0", "1", "sin(n)", "0.9^n", "1/(n-7)", "ln(n-3)", "exp(n)")
+
+
+def _cascade_document(rng):
+    """A linear equation of order 1-4 with real, conjugate-pair and repeated
+    roots of modulus up to 3, one of ``CASCADE_FORCINGS``, complex initial
+    values and a horizon of 0-800 steps.  The 800-step runs overflow to
+    ``inf`` and ``nan`` when a root exceeds about 2.43, and reach the ``exp``
+    overflow at n = 710."""
+    order = rng.randrange(1, 5)
+    roots = []
+    while len(roots) < order:
+        draw = rng.random()
+        if draw < 0.3 and order - len(roots) >= 2:
+            w = complex(rng.uniform(-2, 2), rng.uniform(0.1, 2))
+            roots += [w, w.conjugate()]
+        elif draw < 0.5 and roots:
+            roots.append(rng.choice(roots))
+        else:
+            roots.append(complex(rng.uniform(-3, 3)))
+    b = tuple(reversed(Polynomial.from_roots(roots).coefficients[:-1]))
+    eq = linear_equation(b, rng.choice(CASCADE_FORCINGS))
+    init = [complex(rng.uniform(-2, 2), rng.uniform(-1, 1)) for _ in range(order)]
+    return factor_linear_full(eq, root_order=roots), init, rng.choice((0, 1, 2, 5, 9, 30, 120, 800))
+
+
+def _bits(values):
+    """The doubles of complex ``values``, bit for bit.  Equal bits print
+    equal ``repr``s, ``-0.0``, ``inf`` and ``nan`` included, and compare
+    about ten times faster."""
+    return array("d", [x for v in values for x in (v.real, v.imag)]).tobytes()
+
+
+def test_cascade_stages_match_the_hand_loop():
+    """The compiled stages of ``TriangularSystem.simulate`` give the orbit
+    and rows of the hand-written loop, bit for bit, with the same
+    truncation index and reason."""
+    rng = Random(2021)
+    reasons = set()
+    non_finite = 0
+    for _ in range(200):
+        system, init, steps = _cascade_document(rng)
+        orbit, rows = system.simulate(init, steps)
+        expected, expected_rows = reference_cascade(system, init, steps)
+        assert replace(orbit, values=()) == replace(expected, values=())
+        assert _bits(orbit.values) == _bits(expected.values)
+        assert list(map(_bits, rows)) == list(map(_bits, expected_rows))
+        reasons.add(orbit.truncation_reason)
+        non_finite += not all(map(cmath.isfinite, orbit.values))
+    # The draws reach all three forcing errors and overflow in a few runs.
+    assert len(reasons) == 4 and non_finite >= 3
 
 
 class TestFactorizationInvariants:

@@ -11,14 +11,15 @@ from scfact import (
     find_roots,
     iterate_orbit,
     linear_equation,
+    load_equation_file,
     sigma,
     sigma_closed_form,
     solve_order2_closed_form,
 )
 from scfact.expressions import EvaluationError
-from scfact.polynomials import DeflationError, RootFindingError
+from scfact.polynomials import DeflationError, PolynomialError, RootFindingError
 
-from helpers import rel_err
+from helpers import EQUATIONS_DIR, rel_err
 
 
 def as_multiset(values):
@@ -280,6 +281,13 @@ class TestOrder2ClosedForm:
     def test_requires_order_two(self):
         with pytest.raises(TypeError):
             solve_order2_closed_form(linear_equation([-1, 0, 0]), (0, 0, 1), 3)
+
+    def test_power_overflow_is_typed(self):
+        # x_n = 1 for every n, but the closed form needs 2^2000.
+        eq = load_equation_file(EQUATIONS_DIR / "lin_32.eq")
+        with pytest.raises(PolynomialError) as info:
+            solve_order2_closed_form(eq, (1, 1), 2000)
+        assert str(info.value) == "closed form: x_2000 overflows (complex exponentiation)"
 
     def test_forcing_error_propagates(self):
         eq = linear_equation([-1.5, 0.5], forcing="1/(n - 5)")
