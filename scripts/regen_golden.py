@@ -29,9 +29,8 @@ def _write(path: Path, text: str) -> str:
 def main() -> int:
     os.chdir(ROOT)
     GOLDEN_DIR.mkdir(exist_ok=True)
-    report = []
     kept = {HEADER}
-    report.append((_write(HEADER, environment()), HEADER))
+    report = [(_write(HEADER, environment()), HEADER)]
     for args in CASES:
         path = golden_path(args)
         report.append((_write(path, record(args)), path))

@@ -113,9 +113,9 @@ def draw_hs3_init(rng: Random) -> tuple[float, float, float]:
 
 
 def reference_cascade(system, init, steps):
-    """``TriangularSystem.simulate`` as the hand-written loop it once was:
-    one forcing call per step, then each stage in turn.  The compiled
-    stages must give the same orbit and rows (``repr``-equal)."""
+    """``TriangularSystem.simulate`` written as a plain Python loop: one
+    forcing call per step, then each stage in turn.  The compiled stages
+    must give the same orbit and rows, bit for bit."""
     z = list(system.stage_initial_values(init))
     rows = [[v] for v in z]
     values: list[complex] = []
