@@ -17,14 +17,18 @@ from scfact import (
     characteristic_polynomial,
     general_equation,
     linear_equation,
+    load_equation_file,
     as_separable_additive,
     separable_additive_equation,
     solve_reduction_constant,
 )
 from scfact.expressions import Call, Var, evaluate, parse_expression, substitute
+from scfact.factorization import FactorizationError, SemiconjugacyReport, factor_hd1, verify_semiconjugacy
 from scfact.polynomials import Polynomial
 from scfact.symmetry import (
     ConstantValidationError,
+    HD1Report,
+    HD1Witness,
     additive_reduction_residual,
     multiplicative_reduction_residual,
     probe_set,
@@ -33,6 +37,7 @@ from scfact.symmetry import (
 from helpers import (
     C_MINUS,
     C_PLUS,
+    EQUATIONS_DIR,
     make_2hd1,
     make_exp,
     make_hd0_separable,
@@ -357,3 +362,71 @@ def test_multiplicative_and_log_additive_symmetries_agree():
                 env["x"] = complex(r)
                 rhs = evaluate(ha, env)
                 assert rel_err(lhs, rhs) < 1e-9
+
+
+# ----------------------------------------------------------------------
+# The four randomized checks, pinned value for value at their defaults: a
+# change to how they draw, redraw or stop moves these numbers.
+# ----------------------------------------------------------------------
+
+_EXP_PROBES = (
+    0.11654744677806197, 1.9732862564603144, 0.16144847267680926, 8.969895341215173,
+    0.6186486626775286, 0.8913453743572233, 1.9935435331243825, 4.844328502462893,
+    0.39441041169652763, 9.647934123019231, 0.571537373413721, 2.222150582639823,
+    1.8370271826149074, 0.5404254157728585, 0.7575196336418357, 2.067694366842551,
+    0.3670722550062781, 6.6484164230016125, 0.39160640742100866, 5.8727947776927225,
+    4.441406938462251, 4.595832132828358, 0.11705275339197309, 5.959051290219058,
+    0.21303758888635377, 0.4677694325750927, 2.153072600452571, 1.8419427916011444,
+    2.68978875580115, 0.16004054238336946, 0.5106977775406463, 0.4104485605682892,
+)
+
+_LIN2_SEP_PROBES = (
+    (-2.1494568204064604+0.679700303419744j), (-1.823569241860944+2.193874008356614j),
+    (-0.4802177560030976-0.11502330107748371j), (0.6899137251350145+1.5778086397545277j),
+    (-0.9303632577772323+2.266743811916248j), (-0.5594254025858518+0.7984754578860427j),
+    (0.6081486034097958-0.615398642594081j), (-0.27770582293538126+0.7264341540617094j),
+    (-1.002196570179817+1.894378694430408j), (-0.9374980063018041+1.7703306325776822j),
+    (1.4909712042809318+1.525149834695526j), (-2.145130562109811+1.7849112889134116j),
+    (-1.5462866551975005-0.7597797699018178j), (0.7668959384140575+0.6108208795881334j),
+    (0.989462661088198-1.8323281059500487j), (-0.671977297128401-0.8905046671539596j),
+    (-1.3286086425823613+1.068962763435458j), (1.0254651419781666-0.6385086131164286j),
+    (1.6351091731494414-0.38785836544765084j), (1.9515613181558962+1.9679484140609j),
+    (-1.6658688277698486+2.8604391890850396j), (-1.7567048879733758-0.32670352574561257j),
+    (2.08922101594795-2.7105645122323634j), (1.9427347440007434+1.9580303485914081j),
+    (-1.7501367204415932-2.3844027415005864j), (-0.9621703415374059-1.5071449400581733j),
+    (-2.350493084028438+0.48269955432686373j), (2.964727579617551+2.1589550231730907j),
+    (-1.3192812654428483-2.2125710984672304j), (-0.2821386130659258-1.7904453394263833j),
+    (2.321639045095904+2.6221339023295966j), (0.9869162233985005-1.8183911796044183j),
+)
+
+
+def test_randomized_checks_are_pinned():
+    def sample(name):
+        return load_equation_file(EQUATIONS_DIR / f"{name}.eq")
+
+    assert check_hd1(sample("nonred")) == HD1Report(
+        False,
+        500,
+        26.332130883735307,
+        HD1Witness(
+            ((3.4442185152504816+2.5795440294030243j), (-0.79428419169155-2.4108324970703663j)),
+            (0.11274721368608542-0.9506586254958567j),
+            4,
+            0.48565660426359775,
+        ),
+    )
+    assert check_hd1(sample("rk")) == HD1Report(True, 500, 3.8363553882898995e-16, None)
+
+    hd0 = sample("hd0")
+    fact = factor_hd1(hd0)
+    assert verify_semiconjugacy(hd0, fact.symmetry, fact.factor) == SemiconjugacyReport(
+        False, 200, 7.907804944125499, (((7.897380396870891+0j), (4.70077043509014+0j)), 6, 0.5474914921142633)
+    )
+
+    assert probe_set(sample("exp")).points == _EXP_PROBES
+    assert probe_set(sample("lin2_sep")).points == _LIN2_SEP_PROBES
+
+    # The substitution puts the additive identity 0 in place of x0, so every
+    # step of the factor divides by zero.
+    with pytest.raises(FactorizationError, match="substituted factor hits domain errors"):
+        factor_hd1(general_equation("x1/x0", 2))
