@@ -415,8 +415,6 @@ class Orbit:
     values: tuple[complex, ...]
     truncated_at: Optional[int] = None
     truncation_reason: Optional[str] = None
-    equation_name: str = ""
-    params: Mapping[str, complex] = field(default_factory=dict)
 
     @property
     def full_sequence(self) -> tuple[complex, ...]:
@@ -442,7 +440,7 @@ def iterate_orbit(eq: DifferenceEquation, init: Sequence[complex], steps: int) -
             if not eq.group.contains(v):
                 raise ValueError(f"initial value {v!r} is outside the group carrier")
     values, truncated_at, reason = eq._run(init, steps)
-    return Orbit(init, tuple(values), truncated_at, reason, eq.name, eq.params)
+    return Orbit(init, tuple(values), truncated_at, reason)
 
 
 def detect_period(

@@ -41,8 +41,10 @@ The parser is recursive descent and accepts at most 50 nested levels of
 parentheses, calls, unary minus and ``^``; deeper input is a
 :class:`ParseError` at the token that opens level 51.  A level costs up to
 8 Python frames, so a limit-deep parse needs about 410.  Every other walk
-(lowering, :func:`substitute`, the formatter, free variables) keeps an
-explicit stack, so trees built another way may be arbitrarily deep.
+keeps an explicit stack, so trees built another way may be arbitrarily
+deep.  Lowering, :func:`substitute` and the formatter share one, ``_fold``;
+free variables keep their own, which collects a set several times faster
+than folding sets.
 """
 
 from __future__ import annotations
@@ -285,8 +287,8 @@ def lower(
     ``funcs`` adds call helpers ``helper(value, node)`` for names beyond
     :data:`FUNCTIONS`.  The source holds only generated names and the fixed
     templates above; constants, helpers and nodes are bound by reference.
-    The walk uses an explicit stack, so depth is unbounded.  Operations run
-    in the tree's order, left operand first.  An unknown name, operator or
+    The walk is :func:`_fold`'s, so depth is unbounded.  Operations run in
+    the tree's order, left operand first.  An unknown name, operator or
     function raises (:class:`EvaluationError`) here, not when called.
     """
     consts = consts or {}
@@ -300,38 +302,34 @@ def lower(
         return name
 
     lines: list[str] = []
-    values: list[str] = []  # names holding the operands computed so far
-    todo: list[tuple[Expression, bool]] = [(expr, False)]
-    while todo:
-        node, expanded = todo.pop()
+
+    def emit(node: Expression, parts: list) -> str:
+        """The name holding ``node``'s value, after the line computing it."""
         if isinstance(node, Const):
-            values.append(bind(node.value))
-        elif isinstance(node, Var):
+            return bind(node.value)
+        if isinstance(node, Var):
             if node.name not in slots:
                 if node.name not in consts:
                     raise UnboundVariableError(f"unbound variable '{node.name}'", node)
                 slots[node.name] = bind(consts[node.name])
-            values.append(slots[node.name])
-        elif not expanded:
-            if isinstance(node, BinOp) and node.op not in _OPERATORS:
+            return slots[node.name]
+        if isinstance(node, Neg):
+            code = f"-{parts[0]}"
+        elif isinstance(node, BinOp):
+            if node.op not in _OPERATORS:
                 raise EvaluationError(f"unknown operator {node.op!r}")
-            if isinstance(node, Call) and node.func not in calls:
-                raise EvaluationError(f"unknown function '{node.func}'", node)
-            todo.append((node, True))
-            todo.extend((child, False) for child in reversed(_children(node)))
+            code = _OPERATORS[node.op].format(*parts, bind(node))
         else:
-            if isinstance(node, Neg):
-                code = f"-{values.pop()}"
-            elif isinstance(node, BinOp):
-                right = values.pop()
-                code = _OPERATORS[node.op].format(values.pop(), right, bind(node))
-            else:
-                code = f"{bind(calls[node.func])}({values.pop()}, {bind(node)})"
-            temp = f"t{len(lines)}"
-            lines.append(f"    {temp} = {code}\n")
-            values.append(temp)
+            if node.func not in calls:
+                raise EvaluationError(f"unknown function '{node.func}'", node)
+            code = f"{bind(calls[node.func])}({parts[0]}, {bind(node)})"
+        temp = f"t{len(lines)}"
+        lines.append(f"    {temp} = {code}\n")
+        return temp
+
+    result = _fold(expr, emit)
     params = ", ".join(f"a{j}" for j in range(len(args)))
-    source = f"def lowered({params}):\n{''.join(lines)}    return {values.pop()}\n"
+    source = f"def lowered({params}):\n{''.join(lines)}    return {result}\n"
     exec(compile(source, "<lowered expression>", "exec"), namespace)
     return namespace["lowered"]
 

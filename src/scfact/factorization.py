@@ -36,6 +36,7 @@ from .equations import (
     Linear,
     Orbit,
     SeparableAdditive,
+    _lag_display,
     _orbit_loop,
     as_general,
     as_separable_additive,
@@ -44,7 +45,6 @@ from .equations import (
 )
 from .expressions import (
     Const,
-    EvaluationError,
     Expression,
     Var,
     format_complex,
@@ -63,6 +63,7 @@ from .symmetry import (
     Inversion,
     ReductionConstantSet,
     UnaryComponents,
+    _draws,
     build_additive_form_symmetry,
     build_multiplicative_form_symmetry,
     check_hd1,
@@ -230,19 +231,11 @@ def factor_hd1(eq: DifferenceEquation, seed: int = 0) -> ScFactorization:
     factor_rhs = substitute(src.kind.rhs, mapping)
     factor = DifferenceEquation(k, group, General(factor_rhs), eq.params, eq.name, var="t")
 
-    rng = Random(seed)
-    successes = 0
-    for _ in range(32):
-        state = [group.sample(rng) for _ in range(k)]
-        try:
-            factor.step(state, rng.randrange(0, 11))
-        except EvaluationError:
-            continue
-        successes += 1
-    if successes < 8:
-        raise FactorizationError(
-            "substituted factor hits domain errors on most validation samples"
-        )
+    def draw(rng: Random) -> complex:
+        return factor.step([group.sample(rng) for _ in range(k)], rng.randrange(0, 11))
+
+    error = FactorizationError("substituted factor hits domain errors on most validation samples")
+    _draws(Random(seed), 8, 32, draw, error)
 
     symmetry = FormSymmetry(k, group, Inversion(), params=eq.params)
     return make_factorization(eq, symmetry, factor)
@@ -372,8 +365,7 @@ class TriangularSystem:
         for run, start in zip(rest, z[1:]):
             values = run((start,), values)[0]
             rows.append((start,) + tuple(values))
-        src = self.source
-        orbit = Orbit(tuple(complex(v) for v in init), rows[-1][1:], truncated_at, reason, src.name, src.params)
+        orbit = Orbit(tuple(complex(v) for v in init), rows[-1][1:], truncated_at, reason)
         return orbit, tuple(rows)
 
 
@@ -483,8 +475,7 @@ def simulate_cascade(
     values, truncated_at, reason = head._rebuild(init, t_orbit.values)
     if truncated_at is None:
         truncated_at, reason = t_orbit.truncated_at, t_orbit.truncation_reason
-    src = head.source
-    x_orbit = Orbit(init, tuple(values), truncated_at, reason, src.name, src.params)
+    x_orbit = Orbit(init, tuple(values), truncated_at, reason)
     return x_orbit, (t_orbit,) + deeper
 
 
@@ -530,35 +521,23 @@ def verify_semiconjugacy(
     budget.  Works for user-supplied symmetries of any type (m, k+1-m).
     """
     _check_shapes(eq, symmetry, factor)
-    rng = Random(seed)
     group = eq.group
-    tested = 0
-    attempts = 0
-    budget = samples * 10
-    max_residual = 0.0
-    witness = None
-    while tested < samples:
-        if attempts >= budget:
-            raise FactorizationError(
-                f"domain errors exhausted the sampling budget ({budget} draws)"
-            )
-        attempts += 1
+
+    def draw(rng: Random) -> tuple:
         state = [group.sample(rng) for _ in range(eq.order)]
         n = rng.randrange(0, 11)
-        try:
-            advanced = [eq.step(state, n)] + state[:-1]
-            image = evaluate_form_symmetry(symmetry, state)
-            lhs = evaluate_form_symmetry(symmetry, advanced)
-            rhs = (factor.step(list(image), n),) + tuple(image[:-1])
-        except EvaluationError:
-            continue
-        residual = max(abs(a - b) / (1 + abs(b)) for a, b in zip(lhs, rhs))
-        tested += 1
-        if residual > max_residual:
-            max_residual = residual
-            if residual > tol and witness is None:
-                witness = (tuple(state), n, residual)
-    return SemiconjugacyReport(max_residual <= tol, tested, max_residual, witness)
+        advanced = [eq.step(state, n)] + state[:-1]
+        image = evaluate_form_symmetry(symmetry, state)
+        lhs = evaluate_form_symmetry(symmetry, advanced)
+        rhs = (factor.step(list(image), n),) + tuple(image[:-1])
+        return tuple(state), n, max(abs(a - b) / (1 + abs(b)) for a, b in zip(lhs, rhs))
+
+    budget = samples * 10
+    error = FactorizationError(f"domain errors exhausted the sampling budget ({budget} draws)")
+    tested = _draws(Random(seed), samples, budget, draw, error)
+    max_residual = max([0.0, *(t[-1] for t in tested)])
+    witness = next((t for t in tested if t[-1] > tol), None)
+    return SemiconjugacyReport(max_residual <= tol, len(tested), max_residual, witness)
 
 
 Factorization = Union[ScFactorization, TriangularSystem, Sequence[ScFactorization]]
@@ -664,10 +643,6 @@ def verify_trials(
 # ----------------------------------------------------------------------
 
 
-def _lag(var: str, j: int) -> Var:
-    return Var(f"{var}(n)" if j == 0 else f"{var}(n-{j})")
-
-
 def _symmetry_lines(fact: ScFactorization) -> list[str]:
     sym = fact.symmetry
     src = fact.source
@@ -707,7 +682,7 @@ def render_factorization(fact: ScFactorization, constant_residual: Optional[floa
     lines.append(f"factor: {render_equation(fact.factor)}")
     mapping = {"t": Var(f"{fvar}(n+1)")}
     for j in range(fact.cofactor_order):
-        mapping[f"x{j}"] = _lag(src.var, j)
+        mapping[f"x{j}"] = Var(_lag_display(src.var, j))
     lines.append(
         f"cofactor: {src.var}(n+1) = {format_expression(substitute(fact.cofactor, mapping))}"
     )

@@ -210,20 +210,7 @@ def find_roots(p: Polynomial, tol: float = 1e-8, max_iterations: int = 500) -> R
             break
 
     dp = monic.derivative()
-    for j in range(d):
-        r = roots[j]
-        best = abs(monic(r))
-        for _ in range(8):
-            slope = dp(r)
-            if slope == 0:
-                break
-            cand = r - monic(r) / slope
-            resid = abs(monic(cand))
-            if resid < best:
-                r, best = cand, resid
-            else:
-                break
-        roots[j] = r
+    roots = [_newton(monic, dp, r, 8) for r in roots]
 
     # Certified clusters (see the docstring).  Below |z| = 1 the noise is
     # taken at |z| = 1: Durand-Kerner's stop is absolute there, so roots at
@@ -257,18 +244,7 @@ def find_roots(p: Polynomial, tol: float = 1e-8, max_iterations: int = 500) -> R
             reduced = monic
             for _ in range(multiplicity - 1):
                 reduced = reduced.derivative()
-            slope_poly = reduced.derivative()
-            best = abs(reduced(center))
-            for _ in range(40):
-                slope = slope_poly(center)
-                if slope == 0:
-                    break
-                cand = center - reduced(center) / slope
-                resid = abs(reduced(cand))
-                if resid < best:
-                    center, best = cand, resid
-                else:
-                    break
+            center = _newton(reduced, reduced.derivative(), center, 40)
         resid = abs(monic(center))
         residuals.append(resid)
         entries.append((center, multiplicity, resid))
@@ -276,6 +252,22 @@ def find_roots(p: Polynomial, tol: float = 1e-8, max_iterations: int = 500) -> R
         raise RootFindingError("root finding did not converge", sorted(residuals))
     ordered = _sort_root_values([(c, (m, r)) for c, m, r in entries])
     return RootSet(tuple(RootEntry(c, m, r) for c, (m, r) in ordered))
+
+
+def _newton(p: Polynomial, dp: Polynomial, z: complex, iterations: int) -> complex:
+    """``z`` after up to ``iterations`` Newton steps on ``p``, each taken only
+    while it shrinks ``|p|``; a zero slope or a ``nan`` residual stops it."""
+    best = abs(p(z))
+    for _ in range(iterations):
+        slope = dp(z)
+        if slope == 0:
+            break
+        cand = z - p(z) / slope
+        resid = abs(p(cand))
+        if not resid < best:
+            break
+        z, best = cand, resid
+    return z
 
 
 def _taylor_shift(coefficients: Sequence[complex], z: complex) -> list[complex]:

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from math import exp
 from random import Random
-from typing import Mapping, Optional, Sequence, Union
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .equations import (
     DifferenceEquation,
@@ -52,6 +52,7 @@ from .polynomials import (
     Polynomial,
     RootEntry,
     RootFindingError,
+    RootSet,
     characteristic_polynomial,
     find_roots,
 )
@@ -195,8 +196,29 @@ def evaluate_form_symmetry(
 
 
 # ----------------------------------------------------------------------
-# HD1 detection
+# Randomized checks and HD1 detection
 # ----------------------------------------------------------------------
+
+
+def _draws(
+    rng: Random, count: int, budget: int, draw: Callable[[Random], object], error: Exception
+) -> list:
+    """``count`` results of ``draw(rng)``, in order, from at most ``budget``
+    draws.  A draw that raises :class:`EvaluationError` or returns ``None``
+    gives no result; ``error`` is raised when the budget runs out first."""
+    results: list = []
+    for _ in range(budget):
+        if len(results) >= count:
+            break
+        try:
+            result = draw(rng)
+        except EvaluationError:
+            continue
+        if result is not None:
+            results.append(result)
+    if len(results) < count:
+        raise error
+    return results
 
 
 @dataclass(frozen=True)
@@ -235,34 +257,23 @@ def check_hd1(
             "linear equations reduce through their eigenvalues"
         )
     group = eq.group
-    rng = Random(seed)
-    tested = 0
-    attempts = 0
-    budget = samples * 10
-    max_residual = 0.0
-    witness: Optional[HD1Witness] = None
-    while tested < samples:
-        if attempts >= budget:
-            raise SymmetryError(
-                f"domain errors exhausted the sampling budget ({budget} draws)"
-            )
-        attempts += 1
+
+    def draw(rng: Random) -> tuple:
         state = [group.sample(rng) for _ in range(eq.order)]
         shift = group.sample(rng)
         n = rng.randrange(0, 11)
-        try:
-            base = eq.step(state, n)
-            moved = eq.step([group.combine(u, shift) for u in state], n)
-        except EvaluationError:
-            continue
+        base = eq.step(state, n)
+        moved = eq.step([group.combine(u, shift) for u in state], n)
         expected = group.combine(base, shift)
-        residual = abs(moved - expected) / (1 + abs(expected))
-        tested += 1
-        if residual > max_residual:
-            max_residual = residual
-            if residual > tol and witness is None:
-                witness = HD1Witness(tuple(state), shift, n, residual)
-    return HD1Report(max_residual <= tol, tested, max_residual, witness)
+        return tuple(state), shift, n, abs(moved - expected) / (1 + abs(expected))
+
+    budget = samples * 10
+    error = SymmetryError(f"domain errors exhausted the sampling budget ({budget} draws)")
+    tested = _draws(Random(seed), samples, budget, draw, error)
+    # max replaces its value only on ">", so after 0.0 a nan is never taken.
+    max_residual = max([0.0, *(t[-1] for t in tested)])
+    witness = next((HD1Witness(*t) for t in tested if t[-1] > tol), None)
+    return HD1Report(max_residual <= tol, len(tested), max_residual, witness)
 
 
 # ----------------------------------------------------------------------
@@ -286,10 +297,7 @@ class ReductionConstantSet:
     analytic: bool
 
     def expanded(self) -> tuple[complex, ...]:
-        out: list[complex] = []
-        for c in self.constants:
-            out.extend([c.value] * c.multiplicity)
-        return tuple(out)
+        return RootSet(self.constants).expanded()
 
     def __len__(self) -> int:
         return len(self.constants)
@@ -317,42 +325,35 @@ def probe_set(eq: DifferenceEquation) -> ProbeSet:
     return probes
 
 
-def _build_probe_set(eq: DifferenceEquation, count: int = _PROBE_COUNT) -> ProbeSet:
+def _build_probe_set(eq: DifferenceEquation) -> ProbeSet:
     kind = eq.kind
     if not isinstance(kind, (SeparableAdditive, SeparableMultiplicative)):
         raise TypeError("reduction residuals require a separable equation")
     additive = isinstance(kind, SeparableAdditive)
-    rng = Random(_PROBE_SEED)
-    points: list[complex] = []
-    polys: list[Polynomial] = []
-    attempts = 0
-    while len(polys) < count and attempts < count * 10:
-        attempts += 1
+
+    def draw(rng: Random) -> Optional[tuple[complex, Polynomial]]:
         if additive:
             z = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
             if abs(z) < 0.1:
-                continue
+                return None
         else:
             z = complex(exp(rng.uniform(-3, 3)))
-        try:
-            values = [comp(z) for comp in eq._components]
-        except EvaluationError:
-            continue
+        values = [comp(z) for comp in eq._components]
         if additive:
             coeffs = [-v for v in reversed(values)] + [z]
             if not all(cmath.isfinite(c) for c in coeffs):
-                continue
+                return None
         else:
             if any(v == 0 or not cmath.isfinite(v) for v in values):
-                continue
+                return None
             coeffs = [cmath.log(v) for v in reversed(values)] + [-cmath.log(z)]
             if max(abs(c) for c in coeffs) < 1e-9:
-                continue  # degenerate point (t too close to a common fixed value)
-        points.append(z)
-        polys.append(Polynomial(coeffs))
-    if len(polys) < count:
-        raise SymmetryError("could not assemble probe points for the components")
-    return ProbeSet(tuple(points), tuple(polys))
+                return None  # degenerate point (t too close to a common fixed value)
+        return z, Polynomial(coeffs)
+
+    error = SymmetryError("could not assemble probe points for the components")
+    points, polys = zip(*_draws(Random(_PROBE_SEED), _PROBE_COUNT, 10 * _PROBE_COUNT, draw, error))
+    return ProbeSet(points, polys)
 
 
 def _max_residual(polys: Sequence[Polynomial], c: complex) -> float:
@@ -374,8 +375,8 @@ def multiplicative_reduction_residual(eq: DifferenceEquation, c: complex) -> flo
     return _max_residual(probe_set(eq).polys, complex(c))
 
 
-def _gauss_newton(polys, derivs, c: complex, iterations: int = 80) -> complex:
-    for _ in range(iterations):
+def _gauss_newton(polys, derivs, c: complex) -> complex:
+    for _ in range(80):
         num = 0j
         den = 0.0
         for p, dp in zip(polys, derivs):

@@ -134,13 +134,6 @@ def reference_cascade(system, init, steps):
             rows[i].append(feed)
         values.append(z[k])
     return (
-        Orbit(
-            tuple(complex(v) for v in init),
-            tuple(values),
-            truncated_at,
-            reason,
-            system.source.name,
-            system.source.params,
-        ),
+        Orbit(tuple(complex(v) for v in init), tuple(values), truncated_at, reason),
         tuple(tuple(row) for row in rows),
     )

@@ -22,13 +22,15 @@ from scfact import (
     separable_additive_equation,
     solve_reduction_constant,
 )
-from scfact.expressions import Call, Var, evaluate, parse_expression, substitute
+from scfact.expressions import Call, DomainError, Var, evaluate, parse_expression, substitute
 from scfact.factorization import FactorizationError, SemiconjugacyReport, factor_hd1, verify_semiconjugacy
 from scfact.polynomials import Polynomial
 from scfact.symmetry import (
     ConstantValidationError,
     HD1Report,
     HD1Witness,
+    SymmetryError,
+    _draws,
     additive_reduction_residual,
     multiplicative_reduction_residual,
     probe_set,
@@ -430,3 +432,24 @@ def test_randomized_checks_are_pinned():
     # step of the factor divides by zero.
     with pytest.raises(FactorizationError, match="substituted factor hits domain errors"):
         factor_hd1(general_equation("x1/x0", 2))
+
+
+def test_draws_skip_failed_draws_and_stop_at_the_budget():
+    def drawer(outcomes):
+        it = iter(outcomes)
+
+        def draw(rng):
+            value = next(it)
+            if value == "error":
+                raise DomainError("division by zero")
+            return value
+
+        return draw
+
+    spent = SymmetryError("spent")
+    # The count is reached on the budget's last draw.
+    assert _draws(Random(0), 2, 4, drawer([1, None, "error", 2]), spent) == [1, 2]
+    # Drawing stops at the count.
+    assert _draws(Random(0), 1, 4, drawer([7]), spent) == [7]
+    with pytest.raises(SymmetryError, match="spent"):
+        _draws(Random(0), 2, 3, drawer([1, None, "error", 2]), spent)
