@@ -170,6 +170,67 @@ class TestLoader:
             assert eq.order >= 1
 
 
+def _document(kind, group, order, body, params=""):
+    return (
+        f'[equation]\norder = {order}\ngroup = "{group}"\nkind = "{kind}"\n{body}\n'
+        f"[params]\n{params}\n"
+    )
+
+
+# Documents with exactly one fault, and the exact message each one prints.
+SINGLE_FAULT_DOCUMENTS = {
+    "rhs": (
+        _document("general", "additive", 2, 'rhs = "a*x0 + y"', "a = 2"),
+        "key 'rhs' uses free variable(s) ['y']; allowed: ['a', 'n', 'x0', 'x1']",
+    ),
+    "phi0": (
+        _document("separable", "additive", 2, 'phi0 = "x + y"\nphi1 = "a*x"\nforcing = "0"', "a = 2"),
+        "key 'phi0' uses free variable(s) ['y']; allowed: ['a', 'x']",
+    ),
+    "psi0": (
+        _document("separable", "multiplicative", 2, 'psi0 = "exp(-y)"\npsi1 = "x"\nforcing = "exp(a)"', "a = 4.6"),
+        "key 'psi0' uses free variable(s) ['y']; allowed: ['a', 'x']",
+    ),
+    "linear-forcing": (
+        _document("linear", "additive", 2, 'b = [-3, 2]\nforcing = "n + a + x0"', "a = 1"),
+        "key 'forcing' uses free variable(s) ['x0']; allowed: ['a', 'n']",
+    ),
+    "separable-forcing": (
+        _document("separable", "multiplicative", 2, 'psi0 = "x"\npsi1 = "1/x"\nforcing = "a*x"', "a = 1"),
+        "key 'forcing' uses free variable(s) ['x']; allowed: ['a', 'n']",
+    ),
+    "reserved-n": (
+        _document("general", "additive", 2, 'rhs = "x0 - x1"', "n = 1"),
+        "parameter name 'n' is reserved",
+    ),
+    "reserved-x3": (
+        _document("general", "additive", 2, 'rhs = "x0 - x1"', "x3 = 1"),
+        "parameter name 'x3' is reserved",
+    ),
+    "order-0-general": (_document("general", "additive", 0, 'rhs = "n"'), "order must be at least 1"),
+    "order-minus-1-general": (_document("general", "additive", -1, 'rhs = "n"'), "order must be at least 1"),
+    "order-0-linear": (_document("linear", "additive", 0, 'b = []\nforcing = "0"'), "order must be at least 1"),
+    "order-minus-1-linear": (_document("linear", "additive", -1, 'b = []\nforcing = "0"'), "order must be at least 1"),
+    "non-finite": (
+        _document("general", "additive", 2, 'rhs = "a*x0"', "a = 1e309"),
+        "key 'a' must be finite, got (inf+0j)",
+    ),
+    "list-item": (
+        _document("linear", "additive", 2, 'b = [1, 2 +]\nforcing = "0"'),
+        "key 'b': syntax error at offset 3: unexpected end of input "
+        "(expected a number, a name, '-', or '(')",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SINGLE_FAULT_DOCUMENTS))
+def test_single_fault_document_messages(case):
+    text, message = SINGLE_FAULT_DOCUMENTS[case]
+    with pytest.raises(DocumentError) as err:
+        load_equation(text)
+    assert str(err.value) == message
+
+
 class TestIteration:
     def test_hd0_orbit_values(self):
         orbit = iterate_orbit(make_hd0(1.0), (1, 2), 12)
