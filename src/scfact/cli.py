@@ -107,7 +107,7 @@ def main():
 @click.option("--init", "init_text", required=True, help="initial values, oldest first")
 @click.option("--steps", default=100, show_default=True, type=int)
 @click.option("--out", default=None, help="CSV destination (default: stdout)")
-@click.option("--tol", default=None, type=float, help="period-detection tolerance [1e-5]")
+@click.option("--tol", default=1e-5, show_default=True, type=float, help="period-detection tolerance")
 @click.option("--seed", default=0, show_default=True, type=int, help="reproducibility seed (simulation is deterministic)")
 def simulate(file, init_text, steps, out, tol, seed):
     """Iterate an equation and write the orbit CSV, reporting any period."""
@@ -120,7 +120,7 @@ def simulate(file, init_text, steps, out, tol, seed):
     with _output(out) as fh:
         write_orbit_csv(orbit, fh)
     total = len(orbit.full_sequence)
-    detected = detect_period(orbit, tol or 1e-5, min(64, max(1, (total - 2) // 2)))
+    detected = detect_period(orbit, tol, min(64, max(1, (total - 2) // 2)))
     if detected:
         click.echo(f"period {detected[0]}")
     if orbit.truncated_at is not None:
@@ -211,14 +211,14 @@ def solve_linear(file, init_text, n_index, tol, seed):
         raise click.ClickException(
             f"direct iteration failed: {direct_orbit.truncation_reason}"
         )
-    direct = direct_orbit.full_sequence[-1] if n_index else complex(init[-1])
+    direct = direct_orbit.full_sequence[-1]
     if not cmath.isfinite(direct):
         raise click.ClickException(
             f"direct iteration: x_{n_index} = {format_complex(direct)} is not finite"
         )
     system = factor_linear_full(eq)
     cascade_orbit, _ = system.simulate(init, n_index)
-    cascade = cascade_orbit.full_sequence[-1] if n_index else complex(init[-1])
+    cascade = cascade_orbit.full_sequence[-1]
     click.echo(f"direct iteration: x_{n_index} = {format_complex(direct)}")
     click.echo(f"triangular cascade: x_{n_index} = {format_complex(cascade)}")
     values = [direct, cascade]

@@ -210,12 +210,9 @@ def init_from_coordinates(order: int, coords: Mapping[str, complex]) -> tuple[co
 class BifurcationData:
     """Per-grid-point orbit tails from a sweep of one initial coordinate."""
 
-    sweep_name: str
     grid: tuple[float, ...]
     samples: tuple[Optional[tuple[complex, ...]], ...]
     periods: tuple[Optional[int], ...]
-    transient: int
-    keep: int
     failures: tuple[Optional[str], ...]
 
     def period_census(self) -> dict[int, int]:
@@ -267,15 +264,7 @@ def bifurcation_sweep(
         samples.append(tuple(tail))
         periods.append(detected[0] if detected else None)
         failures.append(None)
-    return BifurcationData(
-        sweep_name,
-        tuple(grid),
-        tuple(samples),
-        tuple(periods),
-        transient,
-        keep,
-        tuple(failures),
-    )
+    return BifurcationData(tuple(grid), tuple(samples), tuple(periods), tuple(failures))
 
 
 def write_bifurcation_csv(data: BifurcationData, stream: IO[str]) -> None:

@@ -182,6 +182,13 @@ class DifferenceEquation:
     parameter names to complex scalars, bound as constants when the trees
     are lowered on first use.  ``var`` is the display letter used when
     rendering.
+
+    The constructor checks the names each part uses: ``rhs`` the lags
+    ``x0..xk`` and ``n``, each component ``phi{j}``/``psi{j}`` only ``x``,
+    the ``forcing`` only ``n``, all of them also the parameters.  A
+    :class:`ValueError` names the part by its document key and lists the
+    allowed names; :func:`load_equation` reports it as a
+    :class:`DocumentError` with the same text.
     """
 
     order: int
@@ -201,39 +208,34 @@ class DifferenceEquation:
             if pname in _RESERVED_NAMES or _LAG_NAME.match(pname):
                 raise ValueError(f"parameter name '{pname}' is reserved")
         kind = self.kind
-        allowed_extra = set(self.params)
         if isinstance(kind, General):
-            lags = {f"x{j}" for j in range(self.order)}
-            bad = kind.rhs.free_variables() - lags - {"n"} - allowed_extra
-            if bad:
-                raise ValueError(f"rhs uses unknown names {sorted(bad)}")
-        elif isinstance(kind, Linear):
+            self._check_names("rhs", kind.rhs, {"n"} | {f"x{j}" for j in range(self.order)})
+            return
+        if isinstance(kind, Linear):
             coeffs = tuple(complex(c) for c in kind.coefficients)
             if len(coeffs) > self.order:
                 raise ValueError("more coefficients than the order allows")
             coeffs = coeffs + (0j,) * (self.order - len(coeffs))
             object.__setattr__(self, "kind", Linear(coeffs, kind.forcing))
-            self._check_forcing(kind.forcing)
         elif isinstance(kind, (SeparableAdditive, SeparableMultiplicative)):
             if len(kind.components) != self.order:
                 raise ValueError(
                     f"expected {self.order} components, got {len(kind.components)}"
                 )
+            prefix = "phi" if isinstance(kind, SeparableAdditive) else "psi"
             for j, comp in enumerate(kind.components):
-                bad = comp.free_variables() - {"x"} - allowed_extra
-                if bad:
-                    raise ValueError(
-                        f"component {j} uses unknown names {sorted(bad)}; "
-                        "only 'x' and parameters are allowed"
-                    )
-            self._check_forcing(kind.forcing)
+                self._check_names(f"{prefix}{j}", comp, {"x"})
         else:
             raise TypeError(f"unknown kind {kind!r}")
+        self._check_names("forcing", kind.forcing, {"n"})
 
-    def _check_forcing(self, forcing: Expression):
-        bad = forcing.free_variables() - {"n"} - set(self.params)
+    def _check_names(self, key: str, expr: Expression, variables: set[str]):
+        allowed = variables | set(self.params)
+        bad = expr.free_variables() - allowed
         if bad:
-            raise ValueError(f"forcing uses unknown names {sorted(bad)}")
+            raise ValueError(
+                f"key '{key}' uses free variable(s) {sorted(bad)}; allowed: {sorted(allowed)}"
+            )
 
     # -- evaluation --------------------------------------------------
     # Each tree is lowered once, on first use (see ``expressions.lower``).
@@ -575,42 +577,23 @@ def _list_value(raw: str, key: str) -> list[complex]:
     if not (raw.startswith("[") and raw.endswith("]")):
         raise DocumentError(f"key '{key}' must be a bracketed list")
     inner = raw[1:-1].strip()
-    if not inner:
-        return []
-    parts = []
-    depth = 0
-    quoted = False
-    start = 0
-    for idx, ch in enumerate(inner):
-        if ch == '"':
-            quoted = not quoted
-        elif ch == "(" and not quoted:
-            depth += 1
-        elif ch == ")" and not quoted:
-            depth -= 1
-        elif ch == "," and depth == 0 and not quoted:
-            parts.append(inner[start:idx])
-            start = idx + 1
-    parts.append(inner[start:])
-    return [_constant_value(p.strip(), key) for p in parts]
+    # The expression grammar has no comma, so every comma separates items.
+    return [_constant_value(p.strip(), key) for p in inner.split(",")] if inner else []
 
 
-def _expression_value(raw: str, key: str, allowed: set[str]) -> Expression:
+def _expression_value(raw: str, key: str) -> Expression:
     text = _string_value(raw, key)
     try:
-        expr = parse_expression(text)
+        return parse_expression(text)
     except Exception as exc:
         raise DocumentError(f"key '{key}': {exc}") from None
-    bad = expr.free_variables() - allowed
-    if bad:
-        raise DocumentError(
-            f"key '{key}' uses free variable(s) {sorted(bad)}; allowed: {sorted(allowed)}"
-        )
-    return expr
 
 
 def load_equation(text: str, *, name: str = "") -> DifferenceEquation:
-    """Parse an equation document into a :class:`DifferenceEquation`."""
+    """Parse an equation document into a :class:`DifferenceEquation`.
+
+    The reader types each value; the names an expression may use are
+    checked by the :class:`DifferenceEquation` constructor."""
     sections = _raw_sections(text)
     if "equation" not in sections:
         raise DocumentError("missing [equation] section")
@@ -618,9 +601,6 @@ def load_equation(text: str, *, name: str = "") -> DifferenceEquation:
     params = {
         key: _constant_value(raw, key) for key, raw in sections.get("params", {}).items()
     }
-    for pname in params:
-        if pname in _RESERVED_NAMES or _LAG_NAME.match(pname):
-            raise DocumentError(f"parameter name '{pname}' is reserved")
 
     def take(key: str, required: bool = True) -> Optional[str]:
         if key in eqsec:
@@ -643,25 +623,18 @@ def load_equation(text: str, *, name: str = "") -> DifferenceEquation:
     if kind_raw not in _KINDS:
         raise DocumentError(f"unknown kind '{kind_raw}'")
 
-    pnames = set(params)
     kind: Kind
     if kind_raw == "general":
-        lags = {f"x{j}" for j in range(order)}
-        kind = General(_expression_value(take("rhs"), "rhs", lags | {"n"} | pnames))
+        kind = General(_expression_value(take("rhs"), "rhs"))
     elif kind_raw == "linear":
         b = _list_value(take("b"), "b")
         if len(b) != order:
             raise DocumentError(f"expected {order} coefficients in 'b', got {len(b)}")
-        forcing = _expression_value(take("forcing"), "forcing", {"n"} | pnames)
-        kind = Linear(tuple(b), forcing)
+        kind = Linear(tuple(b), _expression_value(take("forcing"), "forcing"))
     else:
         prefix = "phi" if group.is_additive else "psi"
-        comps = []
-        for j in range(order):
-            key = f"{prefix}{j}"
-            raw = take(key)
-            comps.append(_expression_value(raw, key, {"x"} | pnames))
-        forcing = _expression_value(take("forcing"), "forcing", {"n"} | pnames)
+        comps = [_expression_value(take(f"{prefix}{j}"), f"{prefix}{j}") for j in range(order)]
+        forcing = _expression_value(take("forcing"), "forcing")
         if group.is_additive:
             kind = SeparableAdditive(tuple(comps), forcing)
         else:

@@ -413,21 +413,21 @@ def _tokenize(text: str) -> list[_Token]:
         if ch in " \t\r\n":
             i += 1
             continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
+        if ch.isdecimal() or (ch == "." and i + 1 < n and text[i + 1].isdecimal()):
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             if j < n and text[j] == ".":
                 j += 1
-                while j < n and text[j].isdigit():
+                while j < n and text[j].isdecimal():
                     j += 1
             if j < n and text[j] in "eE":
                 k = j + 1
                 if k < n and text[k] in "+-":
                     k += 1
-                if k < n and text[k].isdigit():
+                if k < n and text[k].isdecimal():
                     j = k
-                    while j < n and text[j].isdigit():
+                    while j < n and text[j].isdecimal():
                         j += 1
             tokens.append(_Token("number", text[i:j], i))
             i = j

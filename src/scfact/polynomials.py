@@ -104,8 +104,8 @@ class Polynomial:
         return sum(abs(c) for c in self.coefficients)
 
     @staticmethod
-    def from_roots(roots: Sequence[complex], leading: complex = 1) -> "Polynomial":
-        coeffs = [complex(leading)]
+    def from_roots(roots: Sequence[complex]) -> "Polynomial":
+        coeffs = [1 + 0j]
         for r in roots:
             r = complex(r)
             coeffs = [0j] + coeffs

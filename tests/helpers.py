@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import cmath
+from fractions import Fraction
 from pathlib import Path
 from random import Random
 
@@ -14,7 +15,7 @@ from scfact import (
     separable_additive_equation,
     separable_multiplicative_equation,
 )
-from scfact.expressions import EvaluationError
+from scfact.expressions import BinOp, Const, EvaluationError, Neg, Var
 
 EQUATIONS_DIR = Path(__file__).resolve().parent.parent / "equations"
 
@@ -137,3 +138,31 @@ def reference_cascade(system, init, steps):
         Orbit(tuple(complex(v) for v in init), tuple(values), truncated_at, reason),
         tuple(tuple(row) for row in rows),
     )
+
+
+def exact_eval(expr, env):
+    """Value of ``expr`` in exact rational arithmetic, independent of
+    ``expressions.lower``.  ``env`` maps every free name to a ``Fraction``.
+    Supports real constants, ``+ - * /``, unary minus and ``^`` with an
+    integer exponent; anything else raises ``ValueError``."""
+    if isinstance(expr, Const):
+        if expr.value.imag:
+            raise ValueError(f"complex constant {expr.value!r}")
+        return Fraction(expr.value.real)
+    if isinstance(expr, Var):
+        return env[expr.name]
+    if isinstance(expr, Neg):
+        return -exact_eval(expr.operand, env)
+    if isinstance(expr, BinOp):
+        a, b = exact_eval(expr.left, env), exact_eval(expr.right, env)
+        if expr.op == "+":
+            return a + b
+        if expr.op == "-":
+            return a - b
+        if expr.op == "*":
+            return a * b
+        if expr.op == "/":
+            return a / b
+        if expr.op == "^" and b.denominator == 1:
+            return a ** b.numerator
+    raise ValueError(f"no exact rational value for {expr!r}")

@@ -27,6 +27,13 @@ class TestSimulate:
         assert lines[0] == "n,re,im"
         assert lines[1] == "-1,1.0,0.0"
 
+    def test_zero_tolerance_asks_for_exact_repeats(self, runner):
+        args = ["simulate", eq("exp.eq"), "--init", "2.3,3.0", "--steps", "400"]
+        assert runner.invoke(main, args).output.endswith("period 4\n")
+        result = runner.invoke(main, args + ["--tol", "0"])
+        assert result.exit_code == 0
+        assert "period" not in result.output
+
     def test_constant_column_at_fixed_point(self, runner):
         result = runner.invoke(main, ["simulate", eq("exp.eq"), "--init", "2.3,2.3", "--steps", "10"])
         assert result.exit_code == 0

@@ -75,8 +75,11 @@ class TestParsing:
         assert evaluate(parse_expression(".5"), {}) == 0.5
 
     def test_unexpected_character(self):
-        with pytest.raises(ParseError):
-            parse_expression("x0 @ 3")
+        # A superscript digit is a digit to str.isdigit but not to float().
+        for text, char, offset in [("x0 @ 3", "@", 3), ("x^²", "²", 2)]:
+            with pytest.raises(ParseError, match=f"unexpected character '{char}'") as err:
+                parse_expression(text)
+            assert err.value.offset == offset
 
     @pytest.mark.parametrize(
         "text, offset",

@@ -2,6 +2,7 @@ import cmath
 import math
 from array import array
 from dataclasses import replace
+from fractions import Fraction
 from random import Random
 
 import pytest
@@ -11,6 +12,7 @@ from scfact import (
     GroupTag,
     Inversion,
     Polynomial,
+    as_general,
     as_separable_additive,
     factor_hd1,
     factor_linear_full,
@@ -47,6 +49,7 @@ from helpers import (
     C_PLUS,
     EQUATIONS_DIR,
     draw_hs3_init,
+    exact_eval,
     hd0_cycle,
     make_2hd1,
     make_exp,
@@ -359,6 +362,79 @@ class TestVerifySemiconjugacy:
         fact = factor_hd1(eq)
         with pytest.raises(ValueError):
             verify_semiconjugacy(make_exp(), fact.symmetry, fact.factor)
+
+
+def _exact_point(group, rng, order):
+    """A rational state, NEWEST first: strictly decreasing for additive
+    groups (so no difference of neighbours is zero), positive otherwise."""
+    if group.is_additive:
+        u = [Fraction(rng.randint(-40, 40), rng.randint(1, 9))]
+        for _ in range(order - 1):
+            u.append(u[-1] - Fraction(rng.randint(1, 40), rng.randint(1, 9)))
+        return u
+    return [Fraction(rng.randint(1, 60), rng.randint(1, 12)) for _ in range(order)]
+
+
+def _exact_image(symmetry, u, env):
+    """H(u) in rational arithmetic, from the shape's definition."""
+    additive = symmetry.group.is_additive
+    if isinstance(symmetry.shape, Inversion):
+        return tuple(
+            u[j - 1] - u[j] if additive else u[j - 1] / u[j] for j in range(1, symmetry.m + 1)
+        )
+    acc = u[0]
+    for j, h in enumerate(symmetry.shape.components, start=1):
+        value = exact_eval(h, {**env, "x": u[j]})
+        acc = acc + value if additive else acc * value
+    return (acc,)
+
+
+def _exact_step(eq, u, n, env):
+    lags = {f"x{j}": v for j, v in enumerate(u)}
+    return exact_eval(as_general(eq).kind.rhs, {**env, **lags, "n": n})
+
+
+def _exact_mismatches(fact, points=200, seed=0):
+    """Points, of ``points`` rational draws, where ``H o F_n != Phi_n o H``."""
+    eq = fact.source
+    env = {}
+    for name, value in eq.params.items():
+        assert value.imag == 0
+        env[name] = Fraction(value.real)
+    rng = Random(seed)
+    mismatches = 0
+    for _ in range(points):
+        u = _exact_point(eq.group, rng, eq.order)
+        n = Fraction(rng.randrange(0, 11))
+        advanced = [_exact_step(eq, u, n, env)] + u[:-1]
+        image = _exact_image(fact.symmetry, u, env)
+        lhs = _exact_image(fact.symmetry, advanced, env)
+        rhs = (_exact_step(fact.factor, list(image), n, env),) + image[:-1]
+        mismatches += lhs != rhs
+    return mismatches
+
+
+@pytest.mark.parametrize(
+    "name, route",
+    [
+        ("2hd1", factor_hd1),
+        ("hs3", factor_hd1),
+        ("rk", factor_hd1),
+        ("lin2_sep", lambda eq: factor_separable_additive(eq, 1)),
+        ("lin2_sep", lambda eq: factor_separable_additive(eq, 2)),
+    ],
+    ids=["2hd1", "hs3", "rk", "lin2_sep-c1", "lin2_sep-c2"],
+)
+def test_semiconjugacy_holds_exactly_on_rational_points(name, route):
+    fact = route(load_equation_file(EQUATIONS_DIR / f"{name}.eq"))
+    assert _exact_mismatches(fact) == 0
+
+
+def test_exact_oracle_rejects_a_wrong_reduction():
+    # hd0 is homogeneous of degree 0, so the HD1 substitution gives a factor
+    # that is not semiconjugate.
+    fact = factor_hd1(load_equation_file(EQUATIONS_DIR / "hd0.eq"))
+    assert _exact_mismatches(fact) > 150
 
 
 class TestSimulateAndEquivalence:
