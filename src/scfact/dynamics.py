@@ -27,7 +27,7 @@ from .equations import (
     detect_period,
     iterate_orbit,
 )
-from .expressions import EvaluationError
+from .expressions import EvaluationError, format_complex
 from .polynomials import Polynomial, find_roots
 
 __all__ = [
@@ -44,6 +44,11 @@ __all__ = [
     "init_from_coordinates",
     "write_bifurcation_csv",
 ]
+
+_FIXED_POINT_SAMPLES = 2001  # scan points of find_fixed_points
+_FIXED_POINT_TOL = 1e-10  # bisection width and merge distance of fixed points
+_NON_HYPERBOLIC_TOL = 1e-9  # eigenvalue moduli this close to 1 are non-hyperbolic
+_MAX_PERIOD = 64  # longest period a sweep looks for
 
 
 def _require_autonomous(eq: DifferenceEquation) -> None:
@@ -62,18 +67,13 @@ class FixedPointScan:
     dense: bool
 
 
-def find_fixed_points(
-    eq: DifferenceEquation,
-    interval: tuple[float, float],
-    tol: float = 1e-10,
-    samples: int = 2001,
-) -> FixedPointScan:
+def find_fixed_points(eq: DifferenceEquation, interval: tuple[float, float]) -> FixedPointScan:
     """Real solutions of ``f(x, ..., x) = x`` on ``interval``.
 
     Dense sampling locates sign changes (refined by bisection) and
-    near-exact zeros; duplicates within ``tol`` merge.  An empty result is
-    a value.  When nearly every sample solves the equation the interval is
-    reported as dense instead of listing points.
+    near-exact zeros; duplicates within ``1e-10 * max(1, |x|)`` merge.  An
+    empty result is a value.  When nearly every sample solves the equation
+    the interval is reported as dense instead of listing points.
     """
     _require_autonomous(eq)
     # The scan probes the map off the orbit carrier (boundaries, perturbed
@@ -92,6 +92,7 @@ def find_fixed_points(
             return None
         return v.real - x
 
+    tol, samples = _FIXED_POINT_TOL, _FIXED_POINT_SAMPLES
     xs = [lo + (hi - lo) * i / (samples - 1) for i in range(samples)]
     gs = [g(x) for x in xs]
     scale = max((abs(v) for v in gs if v is not None), default=0.0)
@@ -140,24 +141,20 @@ class StabilityReport:
 
 
 def render_stability_report(report: StabilityReport) -> str:
-    from .expressions import format_complex
-
     lines = [f"fixed point: {report.fixed_point!r}"]
     for lam, label in zip(report.eigenvalues, report.classifications):
         lines.append(f"  eigenvalue {format_complex(lam)} (|.| = {abs(lam):.6g}): {label}")
     return "\n".join(lines)
 
 
-def linearize_at(
-    eq: DifferenceEquation, x_bar: float, classification_tol: float = 1e-9
-) -> StabilityReport:
+def linearize_at(eq: DifferenceEquation, x_bar: float) -> StabilityReport:
     """Eigenvalues of the linearization at a fixed point.
 
     Partial derivatives with respect to each lag are taken by central
     differences with step ``1e-6 * (1 + |x_bar|)``; the eigenvalues are the
     roots of ``z^{k+1} - sum_j (df/dx_j) z^{k-j}``.  Each eigenvalue is
     classified by its magnitude: below 1 stable, above 1 unstable, within
-    ``classification_tol`` of 1 non-hyperbolic.
+    1e-9 of 1 non-hyperbolic.
     """
     _require_autonomous(eq)
     eq = as_general(eq)  # no carrier guards, as in find_fixed_points
@@ -177,7 +174,7 @@ def linearize_at(
     labels = []
     for lam in eigenvalues:
         mag = abs(lam)
-        if abs(mag - 1) <= classification_tol:
+        if abs(mag - 1) <= _NON_HYPERBOLIC_TOL:
             labels.append("non-hyperbolic")
         elif mag < 1:
             labels.append("stable")
@@ -230,7 +227,6 @@ def bifurcation_sweep(
     grid: Sequence[float],
     transient: int,
     keep: int,
-    max_period: int = 64,
     period_tol: float = 1e-5,
 ) -> BifurcationData:
     """Sweep one initial coordinate over ``grid`` (strictly increasing).
@@ -248,7 +244,7 @@ def bifurcation_sweep(
     periods: list[Optional[int]] = []
     failures: list[Optional[str]] = []
     total_len = eq.order + steps
-    effective_max = min(max_period, max(1, total_len // 3))
+    effective_max = min(_MAX_PERIOD, max(1, total_len // 3))
     for value in grid:
         coords = dict(fixed)
         coords[sweep_name] = value

@@ -48,6 +48,7 @@ from .expressions import (
     EvaluationError,
     Expression,
     NonFiniteLiteralError,
+    ParseError,
     Var,
     as_expression,
     evaluate,
@@ -188,7 +189,8 @@ class DifferenceEquation:
     the ``forcing`` only ``n``, all of them also the parameters.  A
     :class:`ValueError` names the part by its document key and lists the
     allowed names; :func:`load_equation` reports it as a
-    :class:`DocumentError` with the same text.
+    :class:`DocumentError` with the same text.  A parameter name must parse
+    as itself and be neither reserved nor a lag.
     """
 
     order: int
@@ -207,6 +209,12 @@ class DifferenceEquation:
         for pname in self.params:
             if pname in _RESERVED_NAMES or _LAG_NAME.match(pname):
                 raise ValueError(f"parameter name '{pname}' is reserved")
+            try:
+                spelled = parse_expression(pname) == Var(pname)
+            except ParseError:
+                spelled = False
+            if not spelled:
+                raise ValueError(f"parameter name '{pname}' is not a name expressions can use")
         kind = self.kind
         if isinstance(kind, General):
             self._check_names("rhs", kind.rhs, {"n"} | {f"x{j}" for j in range(self.order)})
@@ -249,10 +257,9 @@ class DifferenceEquation:
 
     @cached_property
     def _run(self):
-        """The orbit loop over ``_rhs``, compiled once (see ``_orbit_loop``);
-        multiplicative groups test each value against the carrier."""
-        carrier = None if self.group.is_additive else _IN_CARRIER[self.group]
-        return _orbit_loop(self._rhs, self.order, carrier)
+        """The orbit loop over ``_rhs``, compiled once (see ``_orbit_loop``),
+        testing each value against the group's carrier."""
+        return _orbit_loop(self._rhs, self.order, _IN_CARRIER[self.group])
 
     @cached_property
     def _forcing(self):
@@ -336,25 +343,25 @@ def _expr(source) -> Expression:
     return parse_expression(source) if isinstance(source, str) else as_expression(source)
 
 
-def general_equation(rhs, order, group=GroupTag.ADDITIVE_COMPLEX, params=None, name="", var="x"):
-    return DifferenceEquation(order, group, General(_expr(rhs)), params or {}, name, var)
+def general_equation(rhs, order, group=GroupTag.ADDITIVE_COMPLEX, params=None, name=""):
+    return DifferenceEquation(order, group, General(_expr(rhs)), params or {}, name)
 
 
-def linear_equation(coefficients, forcing="0", params=None, order=None, group=GroupTag.ADDITIVE_COMPLEX, name="", var="x"):
+def linear_equation(coefficients, forcing="0", params=None, order=None, group=GroupTag.ADDITIVE_COMPLEX, name=""):
     coeffs = tuple(complex(c) for c in coefficients)
     if order is None:
         order = max(len(coeffs), 1)
-    return DifferenceEquation(order, group, Linear(coeffs, _expr(forcing)), params or {}, name, var)
+    return DifferenceEquation(order, group, Linear(coeffs, _expr(forcing)), params or {}, name)
 
 
-def separable_additive_equation(components, forcing="0", params=None, group=GroupTag.ADDITIVE_COMPLEX, name="", var="x"):
+def separable_additive_equation(components, forcing="0", params=None, group=GroupTag.ADDITIVE_COMPLEX, name=""):
     comps = tuple(_expr(c) for c in components)
-    return DifferenceEquation(len(comps), group, SeparableAdditive(comps, _expr(forcing)), params or {}, name, var)
+    return DifferenceEquation(len(comps), group, SeparableAdditive(comps, _expr(forcing)), params or {}, name)
 
 
-def separable_multiplicative_equation(components, forcing="1", params=None, group=GroupTag.MULTIPLICATIVE_POSITIVE, name="", var="x"):
+def separable_multiplicative_equation(components, forcing="1", params=None, group=GroupTag.MULTIPLICATIVE_POSITIVE, name=""):
     comps = tuple(_expr(c) for c in components)
-    return DifferenceEquation(len(comps), group, SeparableMultiplicative(comps, _expr(forcing)), params or {}, name, var)
+    return DifferenceEquation(len(comps), group, SeparableMultiplicative(comps, _expr(forcing)), params or {}, name)
 
 
 # ----------------------------------------------------------------------
@@ -430,17 +437,17 @@ class Orbit:
 def iterate_orbit(eq: DifferenceEquation, init: Sequence[complex], steps: int) -> Orbit:
     """Iterate ``eq`` for ``steps`` steps from oldest-first initial values.
 
-    Domain errors (division by zero, log of zero, carrier violations)
-    truncate the orbit; the truncation index and reason are recorded on the
-    returned :class:`Orbit` rather than raised.
+    Initial values outside the group's carrier raise :class:`ValueError`.
+    Domain errors (division by zero, log of zero, a value leaving the
+    carrier) truncate the orbit; the truncation index and reason are
+    recorded on the returned :class:`Orbit` rather than raised.
     """
     init = tuple(complex(v) for v in init)
     if len(init) != eq.order:
         raise ValueError(f"expected {eq.order} initial values, got {len(init)}")
-    if not eq.group.is_additive:
-        for v in init:
-            if not eq.group.contains(v):
-                raise ValueError(f"initial value {v!r} is outside the group carrier")
+    for v in init:
+        if not eq.group.contains(v):
+            raise ValueError(f"initial value {v!r} is outside the group carrier")
     values, truncated_at, reason = eq._run(init, steps)
     return Orbit(init, tuple(values), truncated_at, reason)
 

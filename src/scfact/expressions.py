@@ -72,6 +72,7 @@ __all__ = [
     "evaluate",
     "lower",
     "format_expression",
+    "format_complex",
     "substitute",
     "as_expression",
 ]

@@ -63,6 +63,7 @@ __all__ = [
     "GeneralMap",
     "FormSymmetry",
     "HD1Report",
+    "HD1Witness",
     "ReductionConstant",
     "ReductionConstantSet",
     "ProbeSet",

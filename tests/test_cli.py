@@ -59,6 +59,17 @@ class TestSimulate:
         assert "truncated" in result.output
         assert out.read_text().splitlines()[0] == "n,re,im"
 
+    def test_additive_real_orbit_leaving_the_reals_exits_one(self, runner, tmp_path):
+        doc = tmp_path / "real.eq"
+        doc.write_text(
+            '[equation]\norder = 1\ngroup = "additive_real"\nkind = "general"\n'
+            'rhs = "sqrt(x0) - 2"\n'
+        )
+        result = runner.invoke(main, ["simulate", str(doc), "--init", "1", "--steps", "4"])
+        assert result.exit_code == 1
+        assert result.stdout == "n,re,im\n0,1.0,0.0\n1,-1.0,0.0\n"
+        assert result.stderr == "truncated at n=2: value (-2+1j) left the group carrier\n"
+
     def test_csv_written_to_file(self, runner, tmp_path):
         out = tmp_path / "orbit.csv"
         result = runner.invoke(

@@ -207,6 +207,10 @@ SINGLE_FAULT_DOCUMENTS = {
         _document("general", "additive", 2, 'rhs = "x0 - x1"', "x3 = 1"),
         "parameter name 'x3' is reserved",
     ),
+    "param-not-a-name": (
+        _document("general", "additive", 2, 'rhs = "x0 - x1"', "2a = 1"),
+        "parameter name '2a' is not a name expressions can use",
+    ),
     "order-0-general": (_document("general", "additive", 0, 'rhs = "n"'), "order must be at least 1"),
     "order-minus-1-general": (_document("general", "additive", -1, 'rhs = "n"'), "order must be at least 1"),
     "order-0-linear": (_document("linear", "additive", 0, 'b = []\nforcing = "0"'), "order must be at least 1"),
@@ -252,6 +256,11 @@ class TestIteration:
     def test_init_outside_carrier(self):
         with pytest.raises(ValueError, match="carrier"):
             iterate_orbit(make_hd0(), (1, -2), 5)
+
+    def test_additive_real_init_outside_carrier(self):
+        eq = general_equation("x0", 1, GroupTag.ADDITIVE_REAL)
+        with pytest.raises(ValueError, match=r"initial value \(1\+1j\) is outside the group carrier"):
+            iterate_orbit(eq, (1 + 1j,), 5)
 
     def test_domain_error_truncates(self):
         eq = general_equation("1/x0", 1, GroupTag.ADDITIVE_REAL)
@@ -376,7 +385,7 @@ def _reference_orbit(eq, init, steps):
     for n in range(steps):
         try:
             v = eq.step(seq[::-1][: eq.order], n)
-            if not eq.group.is_additive and not eq.group.contains(v):
+            if not eq.group.contains(v):
                 raise CarrierError(f"value {v!r} left the group carrier")
         except EvaluationError as exc:
             return tuple(seq[eq.order:]), n + 1, str(exc)
@@ -460,10 +469,12 @@ class TestOrbitIsBitIdentical:
         assert orbit.truncated_at == 3
         assert orbit.truncation_reason == reason
 
-    def test_additive_groups_have_no_final_carrier_check(self):
+    def test_additive_real_orbit_truncates_off_the_reals(self):
         eq = general_equation("x0 + i", 1, GroupTag.ADDITIVE_REAL)
         orbit = _assert_matches_reference(eq, (1,), 3)
-        assert orbit.values == (1 + 1j, 1 + 2j, 1 + 3j)
+        assert orbit.values == ()
+        assert orbit.truncated_at == 1
+        assert orbit.truncation_reason == "value (1+1j) left the group carrier"
 
 
 class TestPeriodDetection:

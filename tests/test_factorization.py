@@ -437,6 +437,35 @@ def test_exact_oracle_rejects_a_wrong_reduction():
     assert _exact_mismatches(fact) > 150
 
 
+def _real_fraction(v):
+    assert v.imag == 0
+    return Fraction(v.real)
+
+
+def test_lin_32_cascade_holds_exactly_on_integer_starts():
+    # Eigenvalues 2 and 1 keep every stage an integer below 2^53 over 40
+    # steps, so each float stage value must meet its recurrence exactly.
+    eq = load_equation_file(EQUATIONS_DIR / "lin_32.eq")
+    system = factor_linear_full(eq, root_order=(2, 1))
+    c = [_real_fraction(v) for v in system.eigenvalues]
+    levels = [[_real_fraction(b) for b in level] for level in system.levels]
+    forcing = [exact_eval(eq.kind.forcing, {"n": Fraction(n)}) for n in range(40)]
+    rng = Random(0)
+    for _ in range(200):
+        init = [Fraction(rng.randint(-20, 20)) for _ in range(eq.order)]
+        orbit, rows = system.simulate([complex(v) for v in init], 40)
+        assert orbit.truncated_at is None
+        rows = [[_real_fraction(v) for v in row] for row in rows]
+        for i, level in enumerate(levels):
+            assert rows[i][0] == init[-1] + sum(beta * init[-1 - j] for j, beta in enumerate(level, 1))
+        for n in range(40):
+            feed = forcing[n]
+            for i, row in enumerate(rows):
+                feed = feed + c[i] * row[n]
+                assert row[n + 1] == feed
+        assert iterate_orbit(eq, [complex(v) for v in init], 40).values == orbit.values
+
+
 class TestSimulateAndEquivalence:
     def test_example3_sigma_seven(self):
         from scfact import detect_period
