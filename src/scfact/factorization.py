@@ -249,7 +249,9 @@ def factor_separable_additive(
     Factor ``z_{n+1} = alpha_n + c z_n``; cofactor
     ``x_{n+1} = z_{n+1} - h_1(x_n) - ... - h_k(x_{n-k+1})``; the reduced
     variable starts at ``z_0 = x_0 + sum_j h_j(x_{-j})``.  The closing
-    identity ``c * h_k(z) = phi_k(z)`` is checked on the probe points.
+    identity ``c * h_k(z) = phi_k(z)`` is checked on the probe points.  ``z``
+    is complex when ``c`` is, even for a real source, so the factor's group
+    is always the complex additive one.
     """
     symmetry = build_additive_form_symmetry(eq, c, validate=validate, tol=tol)
     c = symmetry.constant
@@ -267,7 +269,7 @@ def factor_separable_additive(
                 f"closing identity c*h_k = phi_k fails with residual {worst:.3e}"
             )
     factor = DifferenceEquation(
-        1, eq.group, Linear((-c,), eq.kind.forcing), eq.params, eq.name, var="z"
+        1, GroupTag.ADDITIVE_COMPLEX, Linear((-c,), eq.kind.forcing), eq.params, eq.name, var="z"
     )
     return make_factorization(eq, symmetry, factor)
 

@@ -175,6 +175,24 @@ class TestFactorSeparableAdditive:
         with pytest.raises(TypeError):
             factor_separable_additive(make_exp(), -1.0)
 
+    @pytest.mark.parametrize(
+        "components, forcing, c",
+        [
+            (["x", "-x"], "1", cmath.exp(1j * math.pi / 3)),
+            (["x", "-x"], "1", cmath.exp(-1j * math.pi / 3)),
+            (["3*x", "-2*x"], "0.2*(0.9^n)", 1 + 4.7e-17j),
+        ],
+    )
+    def test_additive_real_source_with_complex_reduced_variable(self, components, forcing, c):
+        # A complex constant, or a real one with rounding noise in its
+        # imaginary part, makes z complex while the source orbit stays real.
+        eq = separable_additive_equation(components, forcing, group=GroupTag.ADDITIVE_REAL)
+        fact = factor_separable_additive(eq, c)
+        assert fact.factor.group is GroupTag.ADDITIVE_COMPLEX
+        summary = verify_trials(eq, fact)
+        assert summary.failures == 0
+        assert summary.real_reconstruction
+
 
 class TestFactorSeparableMultiplicative:
     def test_example4_factor_and_cofactor(self):
