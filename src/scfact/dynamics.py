@@ -6,16 +6,15 @@ coordinate the orbit runs ``transient + keep`` steps, the final ``keep``
 values are retained, and a period is detected on the tail when one exists.
 Grid points are independent; a domain error invalidates only its own point.
 
-The locus check targets second-order equations of the form
-``x_{n+1} = r_{n+1} * x_n * exp(-x_n)`` whose induced ``r`` sequence
-alternates between two values, so every consecutive state pair must fall on
-one of the two curves ``xi_1(t) = (e^a/r_0) t e^{-t}`` and
-``xi_2(t) = r_0 t e^{-t}``, hit in strict alternation.
+The locus check follows a source orbit through a factorization: the form
+symmetry's factor orbit ``t_n`` picks, at every step, the cofactor curve
+``u -> cofactor(t_{n+1}, u)`` the next state lies on.  A factor orbit of
+period p puts the states on p curves visited in turn, so every period of
+the source is a multiple of p.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import IO, Mapping, Optional, Sequence
 
@@ -27,20 +26,18 @@ from .equations import (
     detect_period,
     iterate_orbit,
 )
-from .expressions import EvaluationError, format_complex
+from .expressions import EvaluationError
 from .polynomials import Polynomial, find_roots
 
 __all__ = [
     "FixedPointScan",
     "StabilityReport",
-    "render_stability_report",
     "BifurcationData",
     "LocusReport",
-    "CurvePair",
     "find_fixed_points",
     "linearize_at",
     "bifurcation_sweep",
-    "locus_check",
+    "factor_locus",
     "init_from_coordinates",
     "write_bifurcation_csv",
 ]
@@ -138,13 +135,6 @@ class StabilityReport:
     fixed_point: float
     eigenvalues: tuple[complex, ...]
     classifications: tuple[str, ...]
-
-
-def render_stability_report(report: StabilityReport) -> str:
-    lines = [f"fixed point: {report.fixed_point!r}"]
-    for lam, label in zip(report.eigenvalues, report.classifications):
-        lines.append(f"  eigenvalue {format_complex(lam)} (|.| = {abs(lam):.6g}): {label}")
-    return "\n".join(lines)
 
 
 def linearize_at(eq: DifferenceEquation, x_bar: float) -> StabilityReport:
@@ -276,69 +266,48 @@ def write_bifurcation_csv(data: BifurcationData, stream: IO[str]) -> None:
 
 
 # ----------------------------------------------------------------------
-# Orbit locus on the two curves
+# Orbit locus on the cofactor curves
 # ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CurvePair:
-    """The curves ``xi_1(t) = (e^a/r_0) t e^{-t}`` and
-    ``xi_2(t) = r_0 t e^{-t}``; positive for t > 0 when r_0 > 0."""
-
-    a: float
-    r0: float
-
-    def xi1(self, t: float) -> float:
-        return math.exp(self.a) / self.r0 * t * math.exp(-t)
-
-    def xi2(self, t: float) -> float:
-        return self.r0 * t * math.exp(-t)
 
 
 @dataclass(frozen=True)
 class LocusReport:
     passed: bool
+    period: Optional[int]  # of the factor orbit; None when it has none
     worst_residual: float
-    alternation_ok: bool
-    assignments: tuple[int, ...]  # 1 or 2 per pair; 0 when the curves coincide
     first_failure: Optional[int] = None
 
 
-def locus_check(orbit: Orbit, a: float, r0: float, tol: float = 1e-6) -> LocusReport:
-    """Check that every consecutive pair ``(x_n, x_{n+1})`` with n >= 0 lies
-    on one of the two curves, alternating strictly between them.
+def factor_locus(fact, orbit: Orbit, tol: float = 1e-6) -> LocusReport:
+    """Check that each step of ``orbit`` lies on its phase's cofactor curve.
 
-    ``r0`` is the induced factor start ``x_0 / (x_{-1} e^{-x_{-1}})``.
-    Pairs equidistant from both curves (the coincident case) count as
-    matching either and do not constrain the alternation.
+    ``fact`` is a factorization of the orbit's equation (an
+    ``ScFactorization``).  Its factor runs from the form symmetry of the
+    orbit's initial values for as many steps as the orbit; ``period`` is
+    the factor orbit's (``detect_period`` at ``tol``, at most 64).  Step
+    ``n`` must give ``x_{n+1} = cofactor(n, t_j, x_n, ...)`` with phase
+    ``j = (n+1) mod period`` (``j = n+1`` when there is no period), at
+    relative residual ``|x_{n+1} - cofactor| / (1 + |x_{n+1}|)``.  A domain
+    error, or a factor orbit cut short, counts as an infinite residual.
+    ``passed`` needs a period and every residual within ``tol``;
+    ``first_failure`` is the first ``n`` over it.
     """
-    curves = CurvePair(float(a), float(r0))
-    seq = orbit.full_sequence
-    k = orbit.order - 1
-    xs = [v.real for v in seq[k:]]
-    worst = 0.0
-    assignments: list[int] = []
-    alternation_ok = True
-    first_failure = None
-    for idx in range(len(xs) - 1):
-        u, v = xs[idx], xs[idx + 1]
-        d1 = abs(v - curves.xi1(u))
-        d2 = abs(v - curves.xi2(u))
-        residual = min(d1, d2) / (1 + abs(v))
-        if residual > worst:
-            worst = residual
+    t_orbit = iterate_orbit(fact.factor, fact.factor_initial_values(orbit.initial_values), len(orbit.values))
+    detected = detect_period(t_orbit, tol, _MAX_PERIOD)
+    period = detected[0] if detected else None
+    ts = t_orbit.full_sequence[fact.factor.order - 1:]  # t_0, t_1, ...
+    xs = orbit.full_sequence
+    newest, lags = orbit.order - 1, fact.cofactor_order
+    worst, first_failure = 0.0, None
+    for n, x_next in enumerate(orbit.values):
+        j = (n + 1) % period if period else n + 1
+        window = xs[n + newest - lags + 1:n + newest + 1][::-1]  # x_n first
+        try:
+            curve = fact._cofactor(complex(n), ts[j], *window) if j < len(ts) else None
+        except EvaluationError:
+            curve = None
+        residual = float("inf") if curve is None else abs(x_next - curve) / (1 + abs(x_next))
+        worst = max(worst, residual)
         if residual > tol and first_failure is None:
-            first_failure = idx
-        if abs(d1 - d2) <= tol * (1 + abs(v)):
-            assignments.append(0)
-        else:
-            assignments.append(1 if d1 < d2 else 2)
-    # x_1 = xi_1(x_0) by the definition of r0, so the phase is known: curve 1
-    # at even pair indices, curve 2 at odd ones; coincident pairs match either.
-    for idx, mark in enumerate(assignments):
-        expected = 1 if idx % 2 == 0 else 2
-        if mark not in (0, expected):
-            alternation_ok = False
-            break
-    passed = worst <= tol and alternation_ok
-    return LocusReport(passed, worst, alternation_ok, tuple(assignments), first_failure)
+            first_failure = n
+    return LocusReport(period is not None and worst <= tol, period, worst, first_failure)

@@ -585,7 +585,8 @@ def _list_value(raw: str, key: str) -> list[complex]:
         raise DocumentError(f"key '{key}' must be a bracketed list")
     inner = raw[1:-1].strip()
     # The expression grammar has no comma, so every comma separates items.
-    return [_constant_value(p.strip(), key) for p in inner.split(",")] if inner else []
+    # An item's error names it by its 0-based index, as in ``key 'b[1]'``.
+    return [_constant_value(p.strip(), f"{key}[{i}]") for i, p in enumerate(inner.split(","))] if inner else []
 
 
 def _expression_value(raw: str, key: str) -> Expression:

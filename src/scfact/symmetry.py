@@ -75,8 +75,7 @@ __all__ = [
     "build_multiplicative_form_symmetry",
     "evaluate_form_symmetry",
     "probe_set",
-    "additive_reduction_residual",
-    "multiplicative_reduction_residual",
+    "reduction_residual",
 ]
 
 _PROBE_SEED = 0x5EED
@@ -361,18 +360,12 @@ def _max_residual(polys: Sequence[Polynomial], c: complex) -> float:
     return max(abs(p(c)) for p in polys)
 
 
-def additive_reduction_residual(eq: DifferenceEquation, c: complex) -> float:
-    """Max over the probe points of ``|c^{k+1} z - sum c^{k-j} phi_j(z)|``."""
-    if not isinstance(eq.kind, SeparableAdditive):
-        raise TypeError("additive residuals require a separable-additive equation")
-    return _max_residual(probe_set(eq).polys, complex(c))
-
-
-def multiplicative_reduction_residual(eq: DifferenceEquation, c: complex) -> float:
-    """Max over probe points t > 0 of the log-domain identity residual
-    ``|sum c^{k-j} ln psi_j(t) - c^{k+1} ln t|``."""
-    if not isinstance(eq.kind, SeparableMultiplicative):
-        raise TypeError("multiplicative residuals require a separable-multiplicative equation")
+def reduction_residual(eq: DifferenceEquation, c: complex) -> float:
+    """Max over the probe points of the reduction identity's residual at
+    ``c``: ``|c^{k+1} z - sum c^{k-j} phi_j(z)|`` for a separable-additive
+    equation, the log-domain ``|sum c^{k-j} ln psi_j(t) - c^{k+1} ln t|``
+    over t > 0 for a separable-multiplicative one.  Other kinds raise
+    ``TypeError``."""
     return _max_residual(probe_set(eq).polys, complex(c))
 
 
@@ -462,7 +455,7 @@ def solve_reduction_constant(
 def _validated(eq: DifferenceEquation, c: complex, validate: bool, tol: float) -> complex:
     c = complex(c)
     if validate:
-        residual = _max_residual(probe_set(eq).polys, c)
+        residual = reduction_residual(eq, c)
         if residual > tol:
             raise ConstantValidationError(c, residual, tol)
     return c

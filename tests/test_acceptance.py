@@ -20,13 +20,14 @@ from scfact import (
     evaluate,
     factor_hd1,
     factor_linear_full,
+    factor_locus,
     factor_separable_additive,
     factor_separable_multiplicative,
+    factorize,
     general_equation,
     iterate_orbit,
     linear_equation,
     linearize_at,
-    locus_check,
     parse_expression,
     simulate_cascade,
     simulate_factorization,
@@ -209,12 +210,14 @@ def test_criterion_7_example4_properties():
             r = seq[n + 1].real / (seq[n].real * math.exp(-seq[n].real))
             assert rel_err(r, expected[n % 2]) < 1e-9
 
-    # (b) locus check at 1e-6 over 300 steps, 20 random pairs in (0, 6]^2
+    # (b) locus on the factorization's cofactor curves at 1e-6 over 300
+    # steps, 20 random pairs in (0, 6]^2; the factor r-orbit has period 2,
+    # or 1 at r0 = e^{a/2}
+    fact = factorize(eq)[0]
     for _ in range(20):
         x_m1, x_0 = rng.uniform(1e-6, 6.0), rng.uniform(1e-6, 6.0)
-        orbit = iterate_orbit(eq, (x_m1, x_0), 300)
-        r0 = x_0 / (x_m1 * math.exp(-x_m1))
-        assert locus_check(orbit, a, r0, tol=1e-6).passed
+        report = factor_locus(fact, iterate_orbit(eq, (x_m1, x_0), 300), 1e-6)
+        assert report.passed and report.period in (1, 2)
 
     # (c) sweep: nonempty period-2 census, no odd period beyond 1
     started = time.monotonic()

@@ -386,7 +386,7 @@ class TestParse:
         "line, message",
         [
             ("order = 1e400", "key 'order' must be finite, got (inf+0j)"),
-            ("b = [1e309, 1]", "key 'b' must be finite, got (inf+0j)"),
+            ("b = [1e309, 1]", "key 'b[0]' must be finite, got (inf+0j)"),
             ('forcing = "' + "(" * 200 + "n" + ")" * 200 + '"',
              "key 'forcing': syntax error at offset 50: nesting deeper than 50 levels"),
             ('forcing = "n * 1e309"', "key 'forcing': syntax error at offset 4: number 1e309 is not finite"),

@@ -1,24 +1,26 @@
+import importlib.util
 import io
 import math
+from pathlib import Path
 from random import Random
 
 import pytest
 
 from scfact import (
-    CurvePair,
     GroupTag,
     bifurcation_sweep,
+    factor_hd1,
+    factor_locus,
+    factorize,
     find_fixed_points,
     general_equation,
     iterate_orbit,
     linearize_at,
-    locus_check,
     write_bifurcation_csv,
 )
-from scfact import render_stability_report
 from scfact.dynamics import init_from_coordinates
 
-from helpers import make_exp, make_rk, rel_err
+from helpers import EQUATIONS_DIR, make_2hd1, make_exp, make_hs3, make_rk, rel_err
 
 
 class TestFixedPoints:
@@ -75,11 +77,6 @@ class TestLinearization:
     def test_eigenvalue_count_matches_order(self):
         report = linearize_at(make_exp(4.6), 2.3)
         assert len(report.eigenvalues) == 2
-
-    def test_report_renders_as_text(self):
-        text = render_stability_report(linearize_at(make_exp(4.6), 2.3))
-        assert "fixed point: 2.3" in text
-        assert "unstable" in text and "non-hyperbolic" in text
 
 
 class TestSweep:
@@ -139,50 +136,112 @@ class TestSweep:
         assert len(lines) == 2 + 3
 
 
+def _exp_factorization():
+    eq = make_exp(4.6)
+    return eq, factorize(eq)[0]
+
+
 class TestLocus:
     def test_random_orbit_sits_on_alternating_curves(self):
-        a = 4.6
-        eq = make_exp(a)
-        orbit = iterate_orbit(eq, (2.3, 3.0), 300)
-        r0 = 3.0 / (2.3 * math.exp(-2.3))
-        report = locus_check(orbit, a, r0, tol=1e-9)
-        assert report.passed
-        assert report.alternation_ok
-        marks = [m for m in report.assignments if m != 0]
-        assert marks[0] == 1  # x_1 = xi_1(x_0)
+        eq, fact = _exp_factorization()
+        report = factor_locus(fact, iterate_orbit(eq, (2.3, 3.0), 300), tol=1e-9)
+        assert report.passed and report.period == 2
+        assert report.first_failure is None
 
     def test_fixed_point_orbit_trivially_passes(self):
-        a = 4.6
-        eq = make_exp(a)
-        orbit = iterate_orbit(eq, (2.3, 2.3), 50)
-        r0 = 2.3 / (2.3 * math.exp(-2.3))
-        report = locus_check(orbit, a, r0, tol=1e-9)
-        assert report.passed
+        eq, fact = _exp_factorization()
+        report = factor_locus(fact, iterate_orbit(eq, (2.3, 2.3), 50), tol=1e-9)
+        assert report.passed and report.period == 1
+
+    @pytest.mark.parametrize("offset", [3e-6, 1e-6])
+    def test_start_near_the_fixed_point_keeps_two_phases(self, offset):
+        # r0 is within 1e-5 of e^{a/2}, so the factor's two phases differ
+        # by less than detect_period's default tolerance.
+        eq, fact = _exp_factorization()
+        report = factor_locus(fact, iterate_orbit(eq, (2.3, 2.3 * (1 + offset)), 300), tol=1e-6)
+        assert report.passed and report.period == 2
 
     def test_foreign_orbit_fails(self):
+        _, fact = _exp_factorization()
         eq = general_equation("x0 + 1", 2, GroupTag.ADDITIVE_REAL)
-        orbit = iterate_orbit(eq, (1.0, 2.0), 50)
-        report = locus_check(orbit, 4.6, 2.0, tol=1e-6)
+        report = factor_locus(fact, iterate_orbit(eq, (1.0, 2.0), 50), tol=1e-6)
         assert not report.passed
-        assert report.first_failure is not None
+        assert report.first_failure == 0
+
+    def test_factor_orbit_cut_short_is_an_infinite_residual(self):
+        # x(-1) = x(0) makes hs3's factor divide by zero at its second step.
+        eq = general_equation("x0 + 1", 3, GroupTag.ADDITIVE_REAL)
+        report = factor_locus(factor_hd1(make_hs3()), iterate_orbit(eq, (1.0, 2.0, 2.0), 20))
+        assert not report.passed and report.worst_residual == math.inf
 
     def test_twenty_random_inits(self):
-        a = 4.6
-        eq = make_exp(a)
+        eq, fact = _exp_factorization()
         rng = Random(33)
         for _ in range(20):
             x_m1 = rng.uniform(1e-6, 6.0)
             x_0 = rng.uniform(1e-6, 6.0)
             orbit = iterate_orbit(eq, (x_m1, x_0), 300)
             assert orbit.truncated_at is None
-            r0 = x_0 / (x_m1 * math.exp(-x_m1))
-            report = locus_check(orbit, a, r0, tol=1e-6)
+            report = factor_locus(fact, orbit, tol=1e-6)
             assert report.passed, (x_m1, x_0, report.worst_residual)
 
-    def test_curve_pair_positivity(self):
-        curves = CurvePair(4.6, 3.0)
-        for t in (0.1, 1.0, 5.0):
-            assert curves.xi1(t) > 0 and curves.xi2(t) > 0
+    def test_hs3_orbit_visits_six_curves(self):
+        eq = make_hs3()
+        report = factor_locus(factor_hd1(eq), iterate_orbit(eq, (0.3, 1.1, 2.0), 300), tol=1e-9)
+        assert report.passed and report.period == 6
+
+    def test_aperiodic_factor_orbit_fails_on_the_period_alone(self):
+        eq = make_2hd1()
+        report = factor_locus(factor_hd1(eq), iterate_orbit(eq, (1.1, 1.3, 1.7), 300), tol=1e-6)
+        assert report.period is None and not report.passed
+        assert report.worst_residual < 1e-9 and report.first_failure is None
+
+    def test_readme_subgrid_periods_are_multiples_of_the_factor_period(self):
+        """The factor explains the sweep: on 60 points of the README sweep,
+        every periodic source orbit's period is a multiple of its factor's."""
+        eq, fact = _exp_factorization()
+        grid = [2.3 + 2.5 * j / 59 for j in range(60)]
+        data = bifurcation_sweep(eq, {"x-1": 2.3}, "x0", grid, 100, 200)
+        periodic = 0
+        for x0, period in zip(grid, data.periods):
+            report = factor_locus(fact, iterate_orbit(eq, (2.3, x0), 300))
+            assert report.passed, x0
+            if period is not None:
+                periodic += 1
+                assert period % report.period == 0, (x0, period, report.period)
+        assert periodic > 0
+
+
+class TestOrbitLocusScript:
+    @staticmethod
+    def main(argv):
+        path = Path(__file__).resolve().parent.parent / "scripts" / "orbit_locus.py"
+        spec = importlib.util.spec_from_file_location("orbit_locus", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module.main(argv)
+
+    @pytest.mark.parametrize("name, init, period", [("exp", "2.3,3.0", 2), ("hs3", "0.3,1.1,2.0", 6)])
+    def test_writes_one_curve_per_phase(self, tmp_path, name, init, period):
+        out = tmp_path / "locus.csv"
+        assert self.main([str(EQUATIONS_DIR / f"{name}.eq"), "--init", init, "--out", str(out)]) == 0
+        lines = out.read_text(encoding="utf-8").splitlines()
+        assert lines[0] == "kind,t,value"
+        assert {line.split(",")[0] for line in lines[1:]} == {"orbit", *(f"xi{j}" for j in range(period))}
+
+    def test_cofactor_of_order_two_exits_two_with_one_line(self, tmp_path, capsys):
+        doc = tmp_path / "lin3.eq"
+        doc.write_text('[equation]\norder = 3\ngroup = "additive"\nkind = "linear"\nb = [-6, 11, -6]\nforcing = "0"\n')
+        assert self.main([str(doc), "--init", "1,2,3", "--out", str(tmp_path / "locus.csv")]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "orbit_locus: the cofactor has order 2; curves need order 1"
+        ]
+        assert not (tmp_path / "locus.csv").exists()
+
+    def test_unwritable_out_exits_two_with_one_line(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "locus.csv"
+        assert self.main([str(EQUATIONS_DIR / "exp.eq"), "--init", "2.3,3.0", "--out", str(out)]) == 2
+        assert len(capsys.readouterr().err.splitlines()) == 1
 
 
 class TestInducedFactorSequence:

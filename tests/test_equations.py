@@ -161,7 +161,7 @@ class TestLoader:
         b = [1e309, 1]
         forcing = "0"
         """
-        with pytest.raises(DocumentError, match=r"key 'b' must be finite, got \(inf\+0j\)"):
+        with pytest.raises(DocumentError, match=r"key 'b\[0\]' must be finite, got \(inf\+0j\)"):
             load_equation(doc)
 
     def test_shipped_documents_load(self):
@@ -221,7 +221,7 @@ SINGLE_FAULT_DOCUMENTS = {
     ),
     "list-item": (
         _document("linear", "additive", 2, 'b = [1, 2 +]\nforcing = "0"'),
-        "key 'b': syntax error at offset 3: unexpected end of input "
+        "key 'b[1]': syntax error at offset 3: unexpected end of input "
         "(expected a number, a name, '-', or '(')",
     ),
 }

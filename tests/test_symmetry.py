@@ -31,9 +31,8 @@ from scfact.symmetry import (
     HD1Witness,
     SymmetryError,
     _draws,
-    additive_reduction_residual,
-    multiplicative_reduction_residual,
     probe_set,
+    reduction_residual,
 )
 
 from helpers import (
@@ -210,7 +209,7 @@ class TestReductionConstants:
         sep = as_separable_additive(eq)
         scale = max(abs(b) for b in eq.kind.coefficients)
         for root in solve_reduction_constant(eq).expanded():
-            assert additive_reduction_residual(sep, root) <= 1e-10 * scale
+            assert reduction_residual(sep, root) <= 1e-10 * scale
 
     def test_grid_is_configurable(self):
         sep = as_separable_additive(linear_equation([-7, 10]))  # constants 2 and 5
@@ -285,7 +284,7 @@ class TestBuildMultiplicative:
             build_multiplicative_form_symmetry(make_exp(4.6), 0.5)
 
     def test_log_domain_residual_small_for_valid_constant(self):
-        assert multiplicative_reduction_residual(make_exp(4.6), -1.0) < 1e-10
+        assert reduction_residual(make_exp(4.6), -1.0) < 1e-10
 
 
 class TestEvaluateFormSymmetry:
