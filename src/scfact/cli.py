@@ -22,7 +22,7 @@ from .equations import (
     Linear,
     SeparableAdditive,
     SeparableMultiplicative,
-    detect_period,
+    _smallest_period,
     iterate_orbit,
     load_equation_file,
     render_equation,
@@ -120,9 +120,9 @@ def simulate(file, init_text, steps, out, tol, seed):
     with _output(out) as fh:
         write_orbit_csv(orbit, fh)
     total = len(orbit.full_sequence)
-    detected = detect_period(orbit, tol, min(64, max(1, (total - 2) // 2)))
-    if detected:
-        click.echo(f"period {detected[0]}")
+    period = _smallest_period(orbit.full_sequence, tol, min(64, max(1, (total - 2) // 2)))
+    if period:
+        click.echo(f"period {period}")
     if orbit.truncated_at is not None:
         click.echo(
             f"truncated at n={orbit.truncated_at}: {orbit.truncation_reason}",

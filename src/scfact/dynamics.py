@@ -22,8 +22,8 @@ from .equations import (
     DifferenceEquation,
     General,
     Orbit,
+    _smallest_period,
     as_general,
-    detect_period,
     iterate_orbit,
 )
 from .expressions import EvaluationError
@@ -245,10 +245,9 @@ def bifurcation_sweep(
             periods.append(None)
             failures.append(orbit.truncation_reason)
             continue
-        tail = orbit.full_sequence[-keep:]
-        detected = detect_period(orbit, period_tol, effective_max)
-        samples.append(tuple(tail))
-        periods.append(detected[0] if detected else None)
+        sequence = orbit.full_sequence
+        samples.append(sequence[-keep:])
+        periods.append(_smallest_period(sequence, period_tol, effective_max))
         failures.append(None)
     return BifurcationData(tuple(grid), tuple(samples), tuple(periods), tuple(failures))
 
@@ -261,8 +260,8 @@ def write_bifurcation_csv(data: BifurcationData, stream: IO[str]) -> None:
         prefix = f"{value!r},"
         if tail is None:
             stream.write(f"{prefix}NaN\n")
-        else:
-            stream.write("".join([f"{prefix}{v.real!r}\n" for v in tail]))
+        elif tail:
+            stream.write(prefix + ("\n" + prefix).join([repr(v.real) for v in tail]) + "\n")
 
 
 # ----------------------------------------------------------------------
@@ -293,8 +292,7 @@ def factor_locus(fact, orbit: Orbit, tol: float = 1e-6) -> LocusReport:
     ``first_failure`` is the first ``n`` over it.
     """
     t_orbit = iterate_orbit(fact.factor, fact.factor_initial_values(orbit.initial_values), len(orbit.values))
-    detected = detect_period(t_orbit, tol, _MAX_PERIOD)
-    period = detected[0] if detected else None
+    period = _smallest_period(t_orbit.full_sequence, tol, _MAX_PERIOD)
     ts = t_orbit.full_sequence[fact.factor.order - 1:]  # t_0, t_1, ...
     xs = orbit.full_sequence
     newest, lags = orbit.order - 1, fact.cofactor_order

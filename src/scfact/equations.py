@@ -20,13 +20,15 @@ Equations are immutable; orbit iteration is single-threaded per call and
 concurrent iteration of the same equation is safe.
 
 Orbits run in one compiled loop per equation (``_orbit_loop``), generated
-on first use around the lowered right-hand side.  The cofactor rebuild of
-``factorization.simulate_cascade`` and the first-order stages of a linear
-equation's triangular cascade (``TriangularSystem.simulate``) use the same
-loop, so every orbit of the package runs through it.  It performs the
-operations of one :meth:`DifferenceEquation.step` per index in the same
-order, so the values are equal (``==``), at about 1 us per step of
-``exp.eq`` against 4.5 us for a loop over ``step`` (2-vCPU VM, Python 3.11).
+on first use with the right-hand side's statements as its body.  The
+cofactor rebuild of ``factorization.simulate_cascade`` and the first-order
+stages of a linear equation's triangular cascade
+(``TriangularSystem.simulate``) use the same loop, so every orbit of the
+package runs through it.  It performs the operations of one
+:meth:`DifferenceEquation.step` per index in the same order, so the values
+are equal (``==``), at about 0.5 us per step of ``exp.eq``, where a loop
+calling the lowered right-hand side took 1.1 us and a loop over ``step``
+4.5 us (2-CPU sandbox, Python 3.11).
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from math import exp as _math_exp
+from operator import le, sub
 from pathlib import Path
 from random import Random
 from typing import IO, Mapping, Optional, Sequence, Union
@@ -50,6 +53,7 @@ from .expressions import (
     NonFiniteLiteralError,
     ParseError,
     Var,
+    _emit,
     as_expression,
     evaluate,
     format_expression,
@@ -134,14 +138,15 @@ class GroupTag(Enum):
         return complex(_math_exp(rng.uniform(-3, 3)))
 
 
-#: Carrier membership of a complex ``v``, as source that generated code inlines.
+#: Carrier membership of a complex value ``{0}``, as source that generated
+#: code inlines.
 _IN_CARRIER = {
     GroupTag.ADDITIVE_COMPLEX: "True",
-    GroupTag.ADDITIVE_REAL: "v.imag == 0",
-    GroupTag.MULTIPLICATIVE_POSITIVE: "v.imag == 0 and v.real > 0",
-    GroupTag.MULTIPLICATIVE_NONZERO: "v != 0",
+    GroupTag.ADDITIVE_REAL: "{0}.imag == 0",
+    GroupTag.MULTIPLICATIVE_POSITIVE: "{0}.imag == 0 and {0}.real > 0",
+    GroupTag.MULTIPLICATIVE_NONZERO: "{0} != 0",
 }
-_CONTAINS = {tag: eval(f"lambda v: {test}") for tag, test in _IN_CARRIER.items()}
+_CONTAINS = {tag: eval(f"lambda v: {test.format('v')}") for tag, test in _IN_CARRIER.items()}
 
 
 # ----------------------------------------------------------------------
@@ -251,15 +256,19 @@ class DifferenceEquation:
     @cached_property
     def _rhs(self):
         lags = tuple(f"x{j}" for j in range(self.order))
-        guard = _carrier_guard(self.group)
-        guards = {f"psi{j}": guard for j in range(self.order)}
-        return lower(_general_rhs(self, guarded=True), ("n",) + lags, self.params, guards)
+        return lower(_general_rhs(self, guarded=True), ("n",) + lags, self.params, self._guards)
 
     @cached_property
     def _run(self):
-        """The orbit loop over ``_rhs``, compiled once (see ``_orbit_loop``),
-        testing each value against the group's carrier."""
-        return _orbit_loop(self._rhs, self.order, _IN_CARRIER[self.group])
+        """The orbit loop, compiled once (see ``_orbit_loop``), testing each
+        value against the group's carrier."""
+        tree = _general_rhs(self, guarded=True)
+        return _orbit_loop(tree, self.order, self.params, self._guards, _IN_CARRIER[self.group])
+
+    @property
+    def _guards(self):
+        """The carrier guard of each ``psi{j}`` call (see ``expressions._emit``)."""
+        return {f"psi{j}": (_IN_CARRIER[self.group], _reject_component) for j in range(self.order)}
 
     @cached_property
     def _forcing(self):
@@ -281,55 +290,61 @@ class DifferenceEquation:
         return self._rhs(complex(n), *map(complex, history))
 
 
-def _carrier_guard(group: GroupTag):
-    """Call helper that passes a separable-multiplicative component's value
-    on, or raises :class:`CarrierError` when it leaves the carrier."""
-
-    def reject(v: complex, node: Call):
-        raise CarrierError(
-            f"component {node.func} produced {v!r}, outside the group carrier", node.arg
-        )
-
-    return eval(f"lambda v, node: v if {_IN_CARRIER[group]} else reject(v, node)", {"reject": reject})
+def _reject_component(v: complex, node: Call):
+    raise CarrierError(f"component {node.func} produced {v!r}, outside the group carrier", node.arg)
 
 
-def _orbit_loop(step, lags: int, carrier: Optional[str] = None, driven: bool = False):
-    """Compile, once, the loop that runs the lowered ``step`` along an orbit.
+def _orbit_loop(
+    expr: Expression,
+    lags: int,
+    consts: Optional[Mapping[str, complex]] = None,
+    funcs: Optional[Mapping[str, tuple]] = None,
+    carrier: Optional[str] = None,
+    driven: bool = False,
+):
+    """Compile, once, the loop that computes ``expr`` along an orbit.
 
     Returns ``run(init, feed) -> (values, truncated_at, reason)``.  The
     newest ``lags`` values of the oldest-first ``init`` start the window,
     which lives in local variables ``x0`` (newest) to ``x{lags-1}`` and
-    rotates after each step.  Step ``n`` computes
-    ``v = step(complex(n), x0, ...)``; a ``driven`` loop runs once per value
-    ``t`` of ``feed`` and computes ``v = step(complex(n), t, x0, ...)``,
-    otherwise ``feed`` is the number of steps.  ``carrier``, a test from
-    ``_IN_CARRIER``, raises :class:`CarrierError` for a value outside it.
-    The first :class:`EvaluationError` ends the run with ``truncated_at =
-    n + 1`` and its message as ``reason``.
+    rotates after each step.  Step ``n`` computes ``expr`` over ``n`` (as
+    ``complex(n)``, only if ``expr`` reads it) and the window; a ``driven``
+    loop runs once per value ``t`` of ``feed`` and ``expr`` reads ``t`` as
+    well, otherwise ``feed`` is the number of steps.  The lines of
+    ``expressions._emit``, with ``consts`` and ``funcs`` as there, form the
+    loop body, so a step performs the operations of the lowered ``expr`` in
+    the same order.  The values of ``init``, ``feed`` and ``consts`` must be
+    complex, which lets the body skip ``complex()`` on function arguments.
+    ``carrier``, a test from ``_IN_CARRIER``, raises :class:`CarrierError`
+    for a value outside it.  The first :class:`EvaluationError` ends the run
+    with ``truncated_at = n + 1`` and its message as ``reason``.
     """
     window = [f"x{j}" for j in range(lags)]  # newest first
+    slots = {"n": "cn", **({"t": "t"} if driven else {}), **{x: x for x in window}}
+    body, v, namespace = _emit(expr, slots, consts, funcs, complex_args=True)
     oldest_first = ", ".join(reversed(window))
-    args = ", ".join(["complex(n)"] + (["t"] if driven else []) + window)
     lines = ["def run(init, feed):", "    values = []", "    append = values.append"]
     if lags:
         lines.append(f"    [{oldest_first}] = init[-{lags}:]")
     lines += [
         "    try:",
         "        for n, t in enumerate(feed):" if driven else "        for n in range(feed):",
-        f"            v = step({args})",
     ]
+    if "n" in expr.free_variables():
+        lines.append("            cn = complex(n)")
+    lines += [f"            {line}" for line in body]
     if carrier is not None:
-        lines.append(f"            if not ({carrier}):")
-        lines.append('                raise CarrierError(f"value {v!r} left the group carrier")')
-    lines.append("            append(v)")
+        lines.append(f"            if not ({carrier.format(v)}):")
+        lines.append(f'                raise CarrierError(f"value {{{v}!r}} left the group carrier")')
+    lines.append(f"            append({v})")
     if lags:
-        lines.append(f"            {oldest_first} = {', '.join(window[-2::-1] + ['v'])}")
+        lines.append(f"            {oldest_first} = {', '.join(window[-2::-1] + [v])}")
     lines += [
         "    except EvaluationError as exc:",
         "        return values, n + 1, str(exc)",
         "    return values, None, None",
     ]
-    namespace = {"step": step, "CarrierError": CarrierError, "EvaluationError": EvaluationError}
+    namespace.update(CarrierError=CarrierError, EvaluationError=EvaluationError)
     exec(compile("\n".join(lines) + "\n", "<orbit loop>", "exec"), namespace)
     return namespace["run"]
 
@@ -452,6 +467,18 @@ def iterate_orbit(eq: DifferenceEquation, init: Sequence[complex], steps: int) -
     return Orbit(init, tuple(values), truncated_at, reason)
 
 
+def _smallest_period(seq: Sequence[complex], tol: float, max_period: int) -> Optional[int]:
+    """The period of :func:`detect_period`, without its onset."""
+    window = seq[-2 * max_period:] if len(seq) > 2 * max_period else seq
+    bounds = [tol * (1 + abs(a)) for a in window]
+    for p in range(1, min(max_period + 1, len(window))):
+        if abs(window[p] - window[0]) <= bounds[0] and all(
+            map(le, map(abs, map(sub, window[p:], window)), bounds)
+        ):
+            return p
+    return None
+
+
 def detect_period(
     orbit: Union[Orbit, Sequence[complex]], tol: float = 1e-5, max_period: int = 64
 ) -> Optional[tuple[int, int]]:
@@ -465,24 +492,13 @@ def detect_period(
     holds through the end, or ``None`` when no period qualifies.
     """
     seq = list(orbit.full_sequence) if isinstance(orbit, Orbit) else [complex(v) for v in orbit]
-    if not seq:
+    p = _smallest_period(seq, tol, max_period)
+    if p is None:
         return None
-    window = seq[-2 * max_period:] if len(seq) > 2 * max_period else seq
-
-    def close(a: complex, b: complex) -> bool:
-        return abs(b - a) <= tol * (1 + abs(a))
-
-    for p in range(1, max_period + 1):
-        if p >= len(window):
-            break
-        if all(close(window[i], window[i + p]) for i in range(len(window) - p)):
-            onset = 0
-            for j in range(len(seq) - p - 1, -1, -1):
-                if not close(seq[j], seq[j + p]):
-                    onset = j + 1
-                    break
-            return p, onset
-    return None
+    for j in range(len(seq) - p - 1, -1, -1):
+        if not abs(seq[j + p] - seq[j]) <= tol * (1 + abs(seq[j])):
+            return p, j + 1
+    return p, 0
 
 
 def write_orbit_csv(orbit: Orbit, stream: IO[str]) -> None:

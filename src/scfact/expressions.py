@@ -33,9 +33,11 @@ package lowers every equation, symmetry, cofactor and sequence once and
 calls the result.  :func:`evaluate` lowers on every call: a one-shot call of
 a small tree costs about 26 us, where a lowered call costs about 0.14 us
 (the former tree walker took about 0.5 us), so only the parsing of document
-constants uses it.  Orbits do not call lowered functions from an
-interpreted loop either: ``equations`` compiles one loop per equation and
-cofactor around them, so a step costs little more than its arithmetic.
+constants uses it.  Orbits do not call lowered functions at all:
+``equations`` splices the same statements (``_emit``) into one compiled loop
+per equation, cofactor and cascade stage, so a step costs little more than
+its arithmetic.  Subtrees that read no argument, such as ``exp(a)``, are
+computed once, when the tree is lowered.
 
 The parser is recursive descent and accepts at most 50 nested levels of
 parentheses, calls, unary minus and ``^``; deeper input is a
@@ -50,6 +52,7 @@ than folding sets.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence, Union
@@ -213,19 +216,10 @@ def _children(node: Expression) -> tuple[Expression, ...]:
 
 # ----------------------------------------------------------------------
 # Lowering: the one evaluation path.  A tree compiles to straight-line code,
-# one temporary per operator or call node; ``/``, ``^`` and the functions run
-# through the helpers below, which name the failing node in their errors.
+# one temporary per operator or call node.  The checks that name the failing
+# node in their errors are written inline; ``ln`` and ``^`` call the helpers
+# below.  Subtrees that read no argument are computed once, when lowered.
 # ----------------------------------------------------------------------
-
-
-def _checked(name: str, fn: Callable[[complex], complex]):
-    def apply(v, node: Call) -> complex:
-        try:
-            return fn(complex(v))
-        except OverflowError:
-            raise DomainError(f"overflow in {name}", node) from None
-
-    return apply
 
 
 def _ln(v, node: Call) -> complex:
@@ -233,24 +227,6 @@ def _ln(v, node: Call) -> complex:
     if v == 0:
         raise DomainError("logarithm of zero", node)
     return cmath.log(v)
-
-
-_CALLS = {
-    name: _checked(name, fn)
-    for name, fn in (("exp", cmath.exp), ("sqrt", cmath.sqrt), ("sin", cmath.sin), ("cos", cmath.cos),
-                     ("abs", lambda v: complex(abs(v))), ("re", lambda v: complex(v.real)),
-                     ("im", lambda v: complex(v.imag)), ("conj", complex.conjugate))
-}
-_CALLS["ln"] = _ln
-
-#: Function names accepted by the grammar's ``IDENT "(" expr ")"`` production.
-FUNCTIONS = frozenset(_CALLS)
-
-
-def _div(a, b, node: BinOp) -> complex:
-    if b == 0:
-        raise DomainError("division by zero", node)
-    return a / b
 
 
 def _power(w, c, node: BinOp) -> complex:
@@ -266,71 +242,157 @@ def _power(w, c, node: BinOp) -> complex:
         raise DomainError(f"power failed ({exc})", node) from None
 
 
-# Code per binary operator: {0} and {1} are the operands, {2} the node.
+# Names the generated code reads, besides constants and nodes.
+_HELPERS = {"DomainError": DomainError, "_ln": _ln, "_power": _power, "_exp": cmath.exp,
+            "_sqrt": cmath.sqrt, "_sin": cmath.sin, "_cos": cmath.cos}
+
+# Lines per binary operator: {0} and {1} are the operands, {2} the node and
+# {3} the temporary assigned.
 _OPERATORS = {
-    "+": "{0} + {1}",
-    "-": "{0} - {1}",
-    "*": "{0} * {1}",
-    "/": "_div({0}, {1}, {2})",
-    "^": "_power({0}, {1}, {2})",
+    "+": ("{3} = {0} + {1}",),
+    "-": ("{3} = {0} - {1}",),
+    "*": ("{3} = {0} * {1}",),
+    "/": ("if {1} == 0:", '    raise DomainError("division by zero", {2})', "{3} = {0} / {1}"),
+    "^": ("{3} = _power({0}, {1}, {2})",),
 }
 
+# Value of each function of a complex argument {0}; an OverflowError becomes
+# a DomainError naming the call.  ``ln`` calls ``_ln`` instead.
+_CALLS = {
+    "exp": "_exp({0})",
+    "sqrt": "_sqrt({0})",
+    "sin": "_sin({0})",
+    "cos": "_cos({0})",
+    "abs": "complex(abs({0}))",
+    "re": "complex({0}.real)",
+    "im": "complex({0}.imag)",
+    "conj": "{0}.conjugate()",
+}
 
-def lower(
+#: Function names accepted by the grammar's ``IDENT "(" expr ")"`` production.
+FUNCTIONS = frozenset(_CALLS) | {"ln"}
+
+
+def _emit(
     expr: Expression,
-    args: Sequence[str],
+    slots: Mapping[str, str],
     consts: Mapping[str, complex] | None = None,
-    funcs: Mapping[str, Callable] | None = None,
-) -> Callable[..., complex]:
-    """Compile ``expr`` once into a function of positional arguments, one per
-    name in ``args``, with the names in ``consts`` bound as constants.
+    funcs: Mapping[str, tuple[str, Callable]] | None = None,
+    complex_args: bool = False,
+) -> tuple[list[str], str, dict]:
+    """Straight-line code computing ``expr``: ``(lines, result, namespace)``.
 
-    ``funcs`` adds call helpers ``helper(value, node)`` for names beyond
-    :data:`FUNCTIONS`.  The source holds only generated names and the fixed
-    templates above; constants, helpers and nodes are bound by reference.
-    The walk is :func:`_fold`'s, so depth is unbounded.  Operations run in
-    the tree's order, left operand first.  An unknown name, operator or
-    function raises (:class:`EvaluationError`) here, not when called.
+    ``slots`` maps each argument to the name the code reads it from, and
+    the names in ``consts`` are bound as constants.  The lines, relatively
+    indented, leave the value in the name ``result``; they read the
+    constants, helpers and nodes from ``namespace``.  ``funcs`` adds guards
+    ``name: (test, reject)``: such a call passes its argument's value on
+    when the source ``test.format(value)`` holds, and otherwise calls
+    ``reject(value, node)``, which raises.  A function converts its
+    argument with ``complex()`` first, unless ``complex_args`` promises that
+    the arguments and constants are complex: then every value is, and the
+    conversion would return the value itself.
+
+    A subtree that reads no argument runs once here, through the same
+    lines, and its value is bound as a constant; if it raises, its lines
+    stay.  The walk is :func:`_fold`'s, so depth is unbounded.  Operations
+    run in the tree's order, left operand first.  An unknown name, operator
+    or function raises (:class:`EvaluationError`) here.
     """
     consts = consts or {}
-    calls = {**_CALLS, **(funcs or {})}
-    namespace: dict = {"_div": _div, "_power": _power}
-    slots = {name: f"a{j}" for j, name in enumerate(args)}
+    guards = funcs or {}
+    namespace: dict = dict(_HELPERS)
+    params: dict[str, str] = {}
+    lines: list[str] = []
+    temps = itertools.count()
 
     def bind(value) -> str:
         name = f"k{len(namespace)}"
         namespace[name] = value
         return name
 
-    lines: list[str] = []
+    def fold(start: int, end: int, name: str) -> str | None:
+        """Run ``lines[start:end]``, which compute ``name`` from constants
+        alone, and bind the value in their place; ``None`` when they raise."""
+        scratch: dict = {}
+        code = "\n".join(lines[start:end] + [f"_value = {name}"])
+        try:
+            exec(compile(code, "<folded expression>", "exec"), namespace, scratch)
+        except Exception:
+            return None
+        del lines[start:end]
+        return bind(scratch["_value"])
 
-    def emit(node: Expression, parts: list) -> str:
-        """The name holding ``node``'s value, after the line computing it."""
+    def visit(node: Expression, parts: list) -> tuple[str, int, bool]:
+        """``(name, start, constant)``: the name holding ``node``'s value,
+        where its subtree's lines start, and whether it reads no argument."""
         if isinstance(node, Const):
-            return bind(node.value)
+            return bind(node.value), len(lines), True
         if isinstance(node, Var):
-            if node.name not in slots:
-                if node.name not in consts:
-                    raise UnboundVariableError(f"unbound variable '{node.name}'", node)
-                slots[node.name] = bind(consts[node.name])
-            return slots[node.name]
+            if node.name in slots:
+                return slots[node.name], len(lines), False
+            if node.name not in consts:
+                raise UnboundVariableError(f"unbound variable '{node.name}'", node)
+            if node.name not in params:
+                params[node.name] = bind(consts[node.name])
+            return params[node.name], len(lines), True
+        names = [name for name, _, _ in parts]
+        constant = all(const for _, _, const in parts)
+        if not constant:  # fold each constant operand, last first
+            for j in reversed(range(len(parts))):
+                name, start, const = parts[j]
+                end = parts[j + 1][1] if j + 1 < len(parts) else len(lines)
+                if const and start < end:
+                    names[j] = fold(start, end, name) or name
+        start = parts[0][1]
+        temp = f"t{next(temps)}"
         if isinstance(node, Neg):
-            code = f"-{parts[0]}"
+            lines.append(f"{temp} = -{names[0]}")
         elif isinstance(node, BinOp):
             if node.op not in _OPERATORS:
                 raise EvaluationError(f"unknown operator {node.op!r}")
-            code = _OPERATORS[node.op].format(*parts, bind(node))
+            lines.extend(line.format(*names, bind(node), temp) for line in _OPERATORS[node.op])
+        elif node.func in guards:
+            test, reject = guards[node.func]
+            lines.append(f"if not ({test.format(names[0])}):")
+            lines.append(f"    {bind(reject)}({names[0]}, {bind(node)})")
+            temp = names[0]
+        elif node.func == "ln":
+            lines.append(f"{temp} = _ln({names[0]}, {bind(node)})")
+        elif node.func in _CALLS:
+            arg = names[0] if complex_args else f"complex({names[0]})"
+            lines.extend(["try:", f"    {temp} = {_CALLS[node.func].format(arg)}",
+                          "except OverflowError:",
+                          f'    raise DomainError("overflow in {node.func}", {bind(node)}) from None'])
         else:
-            if node.func not in calls:
-                raise EvaluationError(f"unknown function '{node.func}'", node)
-            code = f"{bind(calls[node.func])}({parts[0]}, {bind(node)})"
-        temp = f"t{len(lines)}"
-        lines.append(f"    {temp} = {code}\n")
-        return temp
+            raise EvaluationError(f"unknown function '{node.func}'", node)
+        return temp, start, constant
 
-    result = _fold(expr, emit)
+    result, start, constant = _fold(expr, visit)
+    if constant and start < len(lines):
+        result = fold(start, len(lines), result) or result
+    return lines, result, namespace
+
+
+def lower(
+    expr: Expression,
+    args: Sequence[str],
+    consts: Mapping[str, complex] | None = None,
+    funcs: Mapping[str, tuple[str, Callable]] | None = None,
+) -> Callable[..., complex]:
+    """Compile ``expr`` once into a function of positional arguments, one per
+    name in ``args``, with the names in ``consts`` bound as constants.
+
+    The body is :func:`_emit`'s code, where ``funcs`` is described.  The
+    source holds only generated names and the fixed templates above;
+    constants, helpers and nodes are bound by reference.  An unknown name,
+    operator or function raises (:class:`EvaluationError`) here, not when
+    called.
+    """
+    lines, result, namespace = _emit(expr, {name: f"a{j}" for j, name in enumerate(args)}, consts, funcs)
     params = ", ".join(f"a{j}" for j in range(len(args)))
-    source = f"def lowered({params}):\n{''.join(lines)}    return {result}\n"
+    body = "".join(f"    {line}\n" for line in lines)
+    source = f"def lowered({params}):\n{body}    return {result}\n"
     exec(compile(source, "<lowered expression>", "exec"), namespace)
     return namespace["lowered"]
 
@@ -338,17 +400,20 @@ def lower(
 def evaluate(expr: Expression, env: Mapping[str, complex]) -> complex:
     """Evaluate ``expr`` once with every free variable bound in ``env``.
 
-    This lowers ``expr`` on every call, which costs far more than calling
-    a lowered function (see the module notes); code that evaluates a tree
-    repeatedly lowers it once with :func:`lower`.
+    The names in ``env`` are bound as constants, so :func:`_emit` folds
+    the whole tree, which costs far more than calling a lowered function
+    (see the module notes); code that evaluates a tree repeatedly lowers it
+    once with :func:`lower`.
 
     Raises :class:`UnboundVariableError` for missing names and
     :class:`DomainError` for division by zero, ``ln(0)``, or a zero base
     raised to an exponent with non-positive real part; the error message
     names the offending subexpression.
     """
-    names = tuple(env)
-    return complex(lower(expr, names)(*[env[name] for name in names]))
+    lines, result, namespace = _emit(expr, {}, env)
+    if lines:  # the fold raised: run the lines again to raise it here
+        exec(compile("\n".join(lines), "<evaluated expression>", "exec"), namespace)
+    return complex(namespace[result])
 
 
 def _fold(expr: Expression, visit: Callable[[Expression, list], object]):

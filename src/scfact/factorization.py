@@ -135,7 +135,7 @@ class ScFactorization:
     def _rebuild(self):
         """The cofactor loop, compiled once: ``run(init, t_values)`` rebuilds
         the source values from the factor orbit's (see ``_orbit_loop``)."""
-        return _orbit_loop(self._cofactor, self.cofactor_order, driven=True)
+        return _orbit_loop(self.cofactor, self.cofactor_order, self.source.params, driven=True)
 
     @property
     def cofactor_order(self) -> int:
@@ -349,10 +349,8 @@ class TriangularSystem:
         driven by the values of the stage above, ``t + c_i*z``."""
         src = self.source
         head, *rest = (Const(c) * Var("x0") for c in self.eigenvalues)
-        first = _orbit_loop(lower(src.kind.forcing + head, ("n", "x0"), src.params), 1)
-        return (first,) + tuple(
-            _orbit_loop(lower(Var("t") + term, ("n", "t", "x0")), 1, driven=True) for term in rest
-        )
+        first = _orbit_loop(src.kind.forcing + head, 1, src.params)
+        return (first,) + tuple(_orbit_loop(Var("t") + term, 1, driven=True) for term in rest)
 
     def simulate(
         self, init: Sequence[complex], steps: int

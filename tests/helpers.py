@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import cmath
+from collections.abc import Callable
 from fractions import Fraction
 from pathlib import Path
 from random import Random
@@ -15,7 +16,17 @@ from scfact import (
     separable_additive_equation,
     separable_multiplicative_equation,
 )
-from scfact.expressions import BinOp, Const, EvaluationError, Neg, Var
+from scfact.equations import CarrierError, _IN_CARRIER
+from scfact.expressions import (
+    BinOp,
+    Const,
+    DomainError,
+    EvaluationError,
+    Neg,
+    UnboundVariableError,
+    Var,
+    _fold,
+)
 
 EQUATIONS_DIR = Path(__file__).resolve().parent.parent / "equations"
 
@@ -166,3 +177,145 @@ def exact_eval(expr, env):
         if expr.op == "^" and b.denominator == 1:
             return a ** b.numerator
     raise ValueError(f"no exact rational value for {expr!r}")
+
+
+# ----------------------------------------------------------------------
+# The helper-calling lowering and the loop around a lowered step that the
+# fused orbit loops replaced, kept as the reference of a differential test:
+# ``reference_lower`` calls one helper per function, division and power,
+# folds nothing, and takes guards as helpers ``guard(value, node)``.
+# ----------------------------------------------------------------------
+
+
+def _checked(name: str, fn):
+    def apply(v, node):
+        try:
+            return fn(complex(v))
+        except OverflowError:
+            raise DomainError(f"overflow in {name}", node) from None
+
+    return apply
+
+
+def _reference_ln(v, node):
+    v = complex(v)
+    if v == 0:
+        raise DomainError("logarithm of zero", node)
+    return cmath.log(v)
+
+
+_REFERENCE_CALLS = {
+    name: _checked(name, fn)
+    for name, fn in (("exp", cmath.exp), ("sqrt", cmath.sqrt), ("sin", cmath.sin), ("cos", cmath.cos),
+                     ("abs", lambda v: complex(abs(v))), ("re", lambda v: complex(v.real)),
+                     ("im", lambda v: complex(v.imag)), ("conj", complex.conjugate))
+}
+_REFERENCE_CALLS["ln"] = _reference_ln
+
+
+def _reference_div(a, b, node):
+    if b == 0:
+        raise DomainError("division by zero", node)
+    return a / b
+
+
+def _reference_power(w, c, node):
+    w = complex(w)
+    c = complex(c)
+    if w == 0:
+        if c.real > 0:
+            return 0j
+        raise DomainError("zero base raised to exponent with non-positive real part", node)
+    try:
+        return w**c
+    except (OverflowError, ValueError, ZeroDivisionError) as exc:
+        raise DomainError(f"power failed ({exc})", node) from None
+
+
+_REFERENCE_OPERATORS = {
+    "+": "{0} + {1}",
+    "-": "{0} - {1}",
+    "*": "{0} * {1}",
+    "/": "_div({0}, {1}, {2})",
+    "^": "_power({0}, {1}, {2})",
+}
+
+
+def reference_lower(expr, args, consts=None, funcs=None) -> Callable[..., complex]:
+    consts = consts or {}
+    calls = {**_REFERENCE_CALLS, **(funcs or {})}
+    namespace: dict = {"_div": _reference_div, "_power": _reference_power}
+    slots = {name: f"a{j}" for j, name in enumerate(args)}
+
+    def bind(value) -> str:
+        name = f"k{len(namespace)}"
+        namespace[name] = value
+        return name
+
+    lines: list[str] = []
+
+    def emit(node, parts: list) -> str:
+        if isinstance(node, Const):
+            return bind(node.value)
+        if isinstance(node, Var):
+            if node.name not in slots:
+                if node.name not in consts:
+                    raise UnboundVariableError(f"unbound variable '{node.name}'", node)
+                slots[node.name] = bind(consts[node.name])
+            return slots[node.name]
+        if isinstance(node, Neg):
+            code = f"-{parts[0]}"
+        elif isinstance(node, BinOp):
+            code = _REFERENCE_OPERATORS[node.op].format(*parts, bind(node))
+        else:
+            code = f"{bind(calls[node.func])}({parts[0]}, {bind(node)})"
+        temp = f"t{len(lines)}"
+        lines.append(f"    {temp} = {code}\n")
+        return temp
+
+    result = _fold(expr, emit)
+    params = ", ".join(f"a{j}" for j in range(len(args)))
+    source = f"def lowered({params}):\n{''.join(lines)}    return {result}\n"
+    exec(compile(source, "<reference lowered expression>", "exec"), namespace)
+    return namespace["lowered"]
+
+
+def reference_guards(group: GroupTag, order: int) -> dict:
+    """The ``psi{j}`` carrier guards as ``reference_lower`` helpers."""
+    test = _IN_CARRIER[group].format("v")
+
+    def reject(v, node):
+        raise CarrierError(f"component {node.func} produced {v!r}, outside the group carrier", node.arg)
+
+    guard = eval(f"lambda v, node: v if {test} else reject(v, node)", {"reject": reject})
+    return {f"psi{j}": guard for j in range(order)}
+
+
+def reference_orbit_loop(step, lags: int, carrier=None, driven: bool = False):
+    """``run(init, feed) -> (values, truncated_at, reason)`` calling the
+    lowered ``step(complex(n), [t,] x0, ...)`` once per step."""
+    window = [f"x{j}" for j in range(lags)]
+    oldest_first = ", ".join(reversed(window))
+    args = ", ".join(["complex(n)"] + (["t"] if driven else []) + window)
+    lines = ["def run(init, feed):", "    values = []", "    append = values.append"]
+    if lags:
+        lines.append(f"    [{oldest_first}] = init[-{lags}:]")
+    lines += [
+        "    try:",
+        "        for n, t in enumerate(feed):" if driven else "        for n in range(feed):",
+        f"            v = step({args})",
+    ]
+    if carrier is not None:
+        lines.append(f"            if not ({carrier.format('v')}):")
+        lines.append('                raise CarrierError(f"value {v!r} left the group carrier")')
+    lines.append("            append(v)")
+    if lags:
+        lines.append(f"            {oldest_first} = {', '.join(window[-2::-1] + ['v'])}")
+    lines += [
+        "    except EvaluationError as exc:",
+        "        return values, n + 1, str(exc)",
+        "    return values, None, None",
+    ]
+    namespace = {"step": step, "CarrierError": CarrierError, "EvaluationError": EvaluationError}
+    exec(compile("\n".join(lines) + "\n", "<reference orbit loop>", "exec"), namespace)
+    return namespace["run"]
