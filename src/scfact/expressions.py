@@ -256,8 +256,8 @@ _OPERATORS = {
     "^": ("{3} = _power({0}, {1}, {2})",),
 }
 
-# Value of each function of a complex argument {0}; an OverflowError becomes
-# a DomainError naming the call.  ``ln`` calls ``_ln`` instead.
+# Value of each function of a complex argument {0}.  An OverflowError, or the
+# ValueError of sin or cos at inf, becomes a DomainError; ln calls ``_ln``.
 _CALLS = {
     "exp": "_exp({0})",
     "sqrt": "_sqrt({0})",
@@ -363,7 +363,9 @@ def _emit(
             arg = names[0] if complex_args else f"complex({names[0]})"
             lines.extend(["try:", f"    {temp} = {_CALLS[node.func].format(arg)}",
                           "except OverflowError:",
-                          f'    raise DomainError("overflow in {node.func}", {bind(node)}) from None'])
+                          f'    raise DomainError("overflow in {node.func}", {bind(node)}) from None',
+                          "except ValueError:",
+                          f'    raise DomainError("domain error in {node.func}", {bind(node)}) from None'])
         else:
             raise EvaluationError(f"unknown function '{node.func}'", node)
         return temp, start, constant

@@ -60,6 +60,9 @@ def _cases() -> list[list[str]]:
         ["solve-linear", _doc("lin_32"), "--init", "0,1", "--n", "2000"],
         ["solve-linear", _doc("lin_32"), "--init", "1,1", "--n", "2000"],
     ]
+    # A forced order-2 solve: its closed-form digits depend on the order in
+    # which the forcing terms are summed.
+    cases.append(["solve-linear", "tests/lin_forced.eq", "--init", "0.5,-1", "--n", "600"])
     # One small sweep per equation kind.
     for name, fix, sweep in (
         ("exp", "x-1=2.3", "x0=0.5:3.5:5"),

@@ -70,6 +70,21 @@ class TestSimulate:
         assert result.stdout == "n,re,im\n0,1.0,0.0\n1,-1.0,0.0\n"
         assert result.stderr == "truncated at n=2: value (-2+1j) left the group carrier\n"
 
+    @pytest.mark.parametrize("func", ["sin", "cos"])
+    def test_trig_of_infinity_truncates_exits_one(self, runner, tmp_path, func):
+        # x0*1e308*10 overflows to inf without an error; cmath's sin and cos
+        # of inf raise ValueError, which must become a typed truncation.
+        doc = tmp_path / "trig.eq"
+        doc.write_text(
+            '[equation]\norder = 1\ngroup = "additive"\nkind = "general"\n'
+            f'rhs = "{func}(x0*1e308*10)"\n'
+        )
+        result = runner.invoke(main, ["simulate", str(doc), "--init", "1", "--steps", "4"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.stdout == "n,re,im\n0,1.0,0.0\n"
+        assert result.stderr == f"truncated at n=1: domain error in {func} in '{func}(x0*1e+308*10)'\n"
+
     def test_csv_written_to_file(self, runner, tmp_path):
         out = tmp_path / "orbit.csv"
         result = runner.invoke(

@@ -1,4 +1,5 @@
 import cmath
+from fractions import Fraction
 from random import Random
 
 import numpy as np
@@ -289,9 +290,18 @@ class TestOrder2ClosedForm:
             solve_order2_closed_form(eq, (1, 1), 2000)
         assert str(info.value) == "closed form: x_2000 overflows (complex exponentiation)"
 
+    def test_non_finite_result_is_typed(self):
+        # No power overflows, but the running sums pass 1e308 and reach inf
+        # and nan without an OverflowError.
+        eq = linear_equation([-3, 2], forcing="1e300")
+        with pytest.raises(PolynomialError) as info:
+            solve_order2_closed_form(eq, (0, 0), 40)
+        assert str(info.value) == "closed form: x_40 overflows (non-finite result)"
+
     def test_forcing_error_propagates(self):
         eq = linear_equation([-1.5, 0.5], forcing="1/(n - 5)")
-        assert solve_order2_closed_form(eq, (1, 2), 5) == nested_sigma_closed_form(eq, (1, 2), 5)
+        closed = solve_order2_closed_form(eq, (1, 2), 5)
+        assert rel_err(closed, nested_sigma_closed_form(eq, (1, 2), 5)) < 1e-13
         for n in (6, 40):
             with pytest.raises(EvaluationError, match="division by zero"):
                 solve_order2_closed_form(eq, (1, 2), n)
@@ -301,8 +311,8 @@ class TestOrder2ClosedForm:
 
 def nested_sigma_closed_form(eq, init, n):
     """The order-2 closed form with its double sum written as the nested
-    ``sigma`` composition, evaluated literally: the oracle that
-    :func:`solve_order2_closed_form` must equal exactly."""
+    ``sigma`` composition, evaluated literally in O(n^2): the oracle for the
+    running sums of :func:`solve_order2_closed_form`."""
     b0 = eq.kind.coefficients[0]
     c0, c1 = find_roots(characteristic_polynomial(eq)).expanded()
     x_m1, x_0 = (complex(v) for v in init)
@@ -319,10 +329,54 @@ def nested_sigma_closed_form(eq, init, n):
     ids=["distinct-real", "double", "complex-pair"],
 )
 def test_closed_form_equals_nested_sigma_exactly(b, forcing):
+    """Exactly without forcing, where every sum is 0; otherwise the running
+    sums add in another order than the nested ``sigma`` and agree to
+    rounding."""
     eq = linear_equation(b, forcing)
     roots = find_roots(characteristic_polynomial(eq)).entries
     assert [e.multiplicity for e in roots] == ([2] if b == [-1.2, 0.36] else [1, 1])
     rng = Random(str(b) + forcing)
     for n in (0, 1, 2, 3, 17, 300):
         init = (rng.uniform(-2, 2), rng.uniform(-2, 2))
-        assert solve_order2_closed_form(eq, init, n) == nested_sigma_closed_form(eq, init, n)
+        closed = solve_order2_closed_form(eq, init, n)
+        nested = nested_sigma_closed_form(eq, init, n)
+        if forcing == "0":
+            assert closed == nested
+        else:
+            assert rel_err(closed, nested) < 1e-13
+
+
+def exact_linear(b, forcing, init, n):
+    """``x_n`` of ``x(n+1) + b_0 x(n) + b_1 x(n-1) = forcing``, iterated in
+    rational arithmetic from ``init = (x_{-1}, x_0)``."""
+    prev, cur = init
+    for _ in range(n):
+        prev, cur = cur, forcing - b[0] * cur - b[1] * prev
+    return cur
+
+
+@pytest.mark.parametrize("n", [600, 1000])
+@pytest.mark.parametrize(
+    "roots",
+    [(Fraction(5, 4), Fraction(-3, 4)), (Fraction(5, 4), Fraction(5, 4))],
+    ids=["distinct", "double"],
+)
+def test_closed_form_matches_exact_iteration_at_long_horizons(roots, n):
+    # Roots, coefficients, forcing and initial values are all exact in binary.
+    b = [-(roots[0] + roots[1]), roots[0] * roots[1]]
+    forcing = Fraction(13, 8)
+    init = (Fraction(3, 4), Fraction(-5, 4))
+    eq = linear_equation([float(v) for v in b], repr(float(forcing)))
+    closed = solve_order2_closed_form(eq, [float(v) for v in init], n)
+    assert rel_err(closed, complex(exact_linear(b, forcing, init, n))) < 1e-13
+
+
+@pytest.mark.parametrize("b", [[-0.8, 0.15], [-1.2, 0.36]], ids=["distinct", "double"])
+def test_closed_form_geometric_forcing_at_twenty_thousand(b):
+    # Eigenvalues 0.5 and 0.3, or 0.6 twice: their powers underflow to 0 by
+    # n = 20000, leaving the particular solution a*q^(n+1)/P(q), P(z) = z^2 +
+    # b_0 z + b_1.  The nested sigma would take about n^2/2 products here.
+    a, q, n = 0.5, 0.9999, 20000
+    eq = linear_equation(b, f"{a!r}*({q!r}^n)")
+    expected = a * q ** (n + 1) / (q * q + b[0] * q + b[1])
+    assert rel_err(solve_order2_closed_form(eq, (1.0, -2.0), n), expected) < 1e-13
