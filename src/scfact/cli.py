@@ -28,7 +28,7 @@ from .equations import (
     render_equation,
     write_orbit_csv,
 )
-from .expressions import format_complex
+from .expressions import EvaluationError, format_complex
 from .factorization import (
     FactorizationError,
     TriangularSystem,
@@ -87,13 +87,13 @@ def _output(path: Optional[str]):
 
 
 class _Commands(click.Group):
-    """Every typed library error (root finding, deflation, symmetry search
-    and validation, factorization) ends a command with one line and exit 1."""
+    """Every typed library error (root finding, deflation, symmetry search and
+    validation, factorization, evaluation) ends a command with one line, exit 1."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except (PolynomialError, FactorizationError, SymmetryError) as exc:
+        except (PolynomialError, FactorizationError, SymmetryError, EvaluationError) as exc:
             raise click.ClickException(str(exc))
 
 

@@ -117,13 +117,6 @@ class GroupTag(Enum):
     def combine(self, a: complex, b: complex) -> complex:
         return a + b if self.is_additive else a * b
 
-    def invert(self, a: complex) -> complex:
-        if self.is_additive:
-            return -a
-        if a == 0:
-            raise CarrierError("cannot invert zero in a multiplicative group")
-        return 1 / a
-
     def contains(self, v: complex) -> bool:
         return _CONTAINS[self](complex(v))
 

@@ -23,13 +23,15 @@ imaginary parts, as the verification report does.
 from __future__ import annotations
 
 import cmath
+import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from math import exp
 from random import Random
 from typing import Optional, Sequence, Union
 
 from .equations import (
+    CarrierError,
     DifferenceEquation,
     General,
     GroupTag,
@@ -45,6 +47,7 @@ from .equations import (
 )
 from .expressions import (
     Const,
+    EvaluationError,
     Expression,
     Var,
     format_complex,
@@ -143,13 +146,16 @@ class ScFactorization:
 
     def factor_initial_values(self, init: Sequence[complex]) -> tuple[complex, ...]:
         """Initial values for the factor equation, oldest first, from the
-        source's oldest-first initial values."""
+        source's oldest-first initial values.  A domain error of H, or a
+        value outside the factor's carrier, raises :class:`EvaluationError`."""
         init = [complex(v) for v in init]
         if len(init) != self.source.order:
             raise ValueError(f"expected {self.source.order} initial values")
-        newest_first = list(reversed(init))
-        outputs = evaluate_form_symmetry(self.symmetry, newest_first)
-        return tuple(reversed(outputs))
+        outputs = evaluate_form_symmetry(self.symmetry, init[::-1])[::-1]
+        for v in outputs:
+            if not self.factor.group.contains(v):
+                raise CarrierError(f"factor initial value {v!r} is outside the group carrier")
+        return outputs
 
 
 def _check_shapes(eq: DifferenceEquation, symmetry: FormSymmetry, factor: DifferenceEquation):
@@ -177,17 +183,11 @@ def make_factorization(
     if isinstance(shape, Inversion):
         cofactor = t + Var("x0") if additive else t * Var("x0")
     elif isinstance(shape, UnaryComponents):
-        cofactor = t
+        terms = [substitute(comp, {"x": Var(f"x{j}")}) for j, comp in enumerate(shape.components)]
         if additive:
-            for j, comp in enumerate(shape.components):
-                cofactor = cofactor - substitute(comp, {"x": Var(f"x{j}")})
+            cofactor = reduce(operator.sub, terms, t)
         else:
-            denom: Optional[Expression] = None
-            for j, comp in enumerate(shape.components):
-                term = substitute(comp, {"x": Var(f"x{j}")})
-                denom = term if denom is None else denom * term
-            if denom is not None:
-                cofactor = cofactor / denom
+            cofactor = t / reduce(operator.mul, terms) if terms else t
     else:
         cofactor = t - shape.h if additive else t / shape.h
     return ScFactorization(eq, symmetry, factor, cofactor)
@@ -560,9 +560,13 @@ def verify_equivalence(
 ) -> EquivalenceReport:
     """Compare direct iteration of ``eq`` against the factorization route
     (factor orbit from transformed initial values, then cofactor
-    reconstruction) over ``steps`` steps at relative tolerance ``tol``."""
+    reconstruction) over ``steps`` steps at relative tolerance ``tol``.  A
+    route whose ``factor_initial_values`` raises fails at ``n = 0``."""
     direct = iterate_orbit(eq, init, steps)
-    via = _simulate_any(fact, init, steps)
+    try:
+        via = _simulate_any(fact, init, steps)
+    except EvaluationError as exc:  # no factor orbit starts
+        via = Orbit(tuple(init), (), 0, str(exc))
     if direct.truncated_at is not None or via.truncated_at is not None:
         idx = min(
             v for v in (direct.truncated_at, via.truncated_at) if v is not None

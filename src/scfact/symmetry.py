@@ -22,16 +22,19 @@ refined by Gauss-Newton iteration over all probes.
 
 HD1 is detected by randomized sampling with recorded witnesses, not proof:
 there is no decision procedure for arbitrary expressions.
+
+H is lowered like every other map: each output ``H_j`` is one tree over the
+lags ``x0..xk`` (``x0`` the newest), compiled on first use by ``lower``.
 """
 
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from math import exp
 from random import Random
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Callable, ClassVar, Mapping, Optional, Sequence, Union
 
 from .equations import (
     DifferenceEquation,
@@ -47,6 +50,7 @@ from .expressions import (
     Expression,
     Var,
     lower,
+    substitute,
 )
 from .polynomials import (
     Polynomial,
@@ -105,6 +109,8 @@ class ConstantValidationError(SymmetryError):
 class Inversion:
     """h(t) = t^{-1}; components ``H_j(u) = u_{j-1} * u_j^{-1}`` (type (k,1))."""
 
+    arity: ClassVar[int] = 1
+
 
 @dataclass(frozen=True)
 class UnaryComponents:
@@ -145,20 +151,31 @@ class FormSymmetry:
 
     @cached_property
     def _maps(self) -> tuple:
-        """The shape's expressions, each lowered once: ``h_j(x)`` for unary
-        components, ``h(x0, ..., x{arity-1})`` for a general map."""
-        if isinstance(self.shape, UnaryComponents):
-            return tuple(lower(h, ("x",), self.params) for h in self.shape.components)
-        if isinstance(self.shape, GeneralMap):
-            args = tuple(f"x{idx}" for idx in range(self.shape.arity))
-            return (lower(self.shape.h, args, self.params),)
-        return ()
+        """The unary components ``h_j(x)``, each lowered once."""
+        return tuple(lower(h, ("x",), self.params) for h in self.shape.components)
+
+    @cached_property
+    def _outputs(self) -> tuple:
+        """``H_1 .. H_m`` lowered, in the shape's order of operations: the left
+        fold ``(u_0 (+) h_1(u_1)) (+) ...`` of unary components, otherwise
+        ``u_{j-1} (+) h(u_j, ...)`` with ``h(t) = t^{-1}`` for an inversion."""
+        names = tuple(f"x{j}" for j in range(self.input_arity))
+        lags = [Var(name) for name in names]
+        combine = self.group.combine
+        shape = self.shape
+        if isinstance(shape, UnaryComponents):
+            terms = [substitute(h, {"x": lag}) for lag, h in zip(lags[1:], shape.components)]
+            trees = [reduce(combine, terms, lags[0])]
+        else:
+            inverse = -lags[0] if self.group.is_additive else 1 / lags[0]
+            h = shape.h if isinstance(shape, GeneralMap) else inverse
+            trees = [combine(lags[j - 1], substitute(h, dict(zip(names[:shape.arity], lags[j:]))))
+                     for j in range(1, self.m + 1)]
+        return tuple(lower(tree, names, self.params) for tree in trees)
 
     @property
     def input_arity(self) -> int:
         """Number of states H consumes (= k+1 of the source equation)."""
-        if isinstance(self.shape, Inversion):
-            return self.m + 1
         if isinstance(self.shape, UnaryComponents):
             return len(self.shape.components) + 1
         return self.m + self.shape.arity
@@ -169,30 +186,14 @@ def evaluate_form_symmetry(
 ) -> tuple[complex, ...]:
     """Apply H to a state given NEWEST first: ``point[j] = u_j``.
 
-    Returns the m outputs ``(H_1(u), ..., H_m(u))``.
+    Returns the m outputs ``(H_1(u), ..., H_m(u))``; a domain error, such
+    as a zero state under a multiplicative inversion, raises
+    :class:`EvaluationError`.
     """
     point = [complex(v) for v in point]
     if len(point) != symmetry.input_arity:
-        raise ValueError(
-            f"expected {symmetry.input_arity} inputs, got {len(point)}"
-        )
-    group = symmetry.group
-    shape = symmetry.shape
-    if isinstance(shape, Inversion):
-        return tuple(
-            group.combine(point[j - 1], group.invert(point[j]))
-            for j in range(1, symmetry.m + 1)
-        )
-    if isinstance(shape, UnaryComponents):
-        acc = point[0]
-        for j, h in enumerate(symmetry._maps, start=1):
-            acc = group.combine(acc, h(point[j]))
-        return (acc,)
-    (h,) = symmetry._maps
-    return tuple(
-        group.combine(point[j - 1], h(*point[j:j + shape.arity]))
-        for j in range(1, symmetry.m + 1)
-    )
+        raise ValueError(f"expected {symmetry.input_arity} inputs, got {len(point)}")
+    return tuple(output(*point) for output in symmetry._outputs)
 
 
 # ----------------------------------------------------------------------

@@ -26,7 +26,9 @@ from scfact.expressions import (
     UnboundVariableError,
     Var,
     _fold,
+    lower,
 )
+from scfact.symmetry import Inversion, UnaryComponents
 
 EQUATIONS_DIR = Path(__file__).resolve().parent.parent / "equations"
 
@@ -319,3 +321,42 @@ def reference_orbit_loop(step, lags: int, carrier=None, driven: bool = False):
     namespace = {"step": step, "CarrierError": CarrierError, "EvaluationError": EvaluationError}
     exec(compile("\n".join(lines) + "\n", "<reference orbit loop>", "exec"), namespace)
     return namespace["run"]
+
+
+def reference_form_symmetry(symmetry):
+    """The evaluator of H that the compiled outputs replaced, as a function
+    of a NEWEST-first point: the lowered ``h``'s combined in Python, one
+    branch per shape, with the group inverse ``-a`` or ``1/a`` (zero raises
+    :class:`CarrierError`).  ``evaluate_form_symmetry`` must give the same
+    values, bit for bit, and raise on the same points."""
+    additive = symmetry.group.is_additive
+    shape = symmetry.shape
+
+    def combine(a, b):
+        return a + b if additive else a * b
+
+    def invert(a):
+        if additive:
+            return -a
+        if a == 0:
+            raise CarrierError("cannot invert zero in a multiplicative group")
+        return 1 / a
+
+    if isinstance(shape, Inversion):
+        return lambda point: tuple(
+            combine(point[j - 1], invert(point[j])) for j in range(1, symmetry.m + 1)
+        )
+    if isinstance(shape, UnaryComponents):
+        maps = [lower(h, ("x",), symmetry.params) for h in shape.components]
+
+        def unary(point):
+            acc = point[0]
+            for j, h in enumerate(maps, start=1):
+                acc = combine(acc, h(point[j]))
+            return (acc,)
+
+        return unary
+    h = lower(shape.h, tuple(f"x{idx}" for idx in range(shape.arity)), symmetry.params)
+    return lambda point: tuple(
+        combine(point[j - 1], h(*point[j:j + shape.arity])) for j in range(1, symmetry.m + 1)
+    )

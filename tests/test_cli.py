@@ -451,3 +451,76 @@ class TestDeterminism:
             for _ in range(2)
         ]
         assert runs[0] == runs[1]
+
+
+# ----------------------------------------------------------------------
+# No command shows a traceback: seeded documents of every kind end each
+# command with exit 0, 1 or 2.
+# ----------------------------------------------------------------------
+
+_COMPONENTS = {
+    "multiplicative": ["ln(x)", "x - 1", "1/x", "x^2", "exp(-x)", "x*exp(-x)", "sqrt(x)"],
+    "additive": ["ln(x)", "1/x", "-0.5*x", "3*x", "-2*x", "x^2", "sin(x)"],
+}
+_FORCINGS = ["0.5", "1", "ln(n)", "1/(n-1)", "1/(n-2)", "0.9^n"]
+_CONSTANTS = ["-1", "1", "0.5", "2", "0.5,0.866"]
+_GENERAL_RHS = ["x0/x1", "x0 + (x0 - x1)/(x1 - x2)", "x0*(0.3*x1/x2 + 0.4)", "ln(x0) - x1", "1/(x0 - x1)"]
+
+
+def _separable_commands(rng, doc, additive):
+    group = rng.choice(["additive", "additive_real"] if additive else ["multiplicative", "multiplicative_nonzero"])
+    prefix, pool = ("phi", _COMPONENTS["additive"]) if additive else ("psi", _COMPONENTS["multiplicative"])
+    lines = [f'{prefix}{j} = "{rng.choice(pool)}"' for j in range(2)]
+    doc.write_text(f'[equation]\norder = 2\ngroup = "{group}"\nkind = "separable"\n'
+                   + "\n".join(lines) + f'\nforcing = "{rng.choice(_FORCINGS)}"\n')
+    verify = ["verify", str(doc), "--trials", "3", "--steps", "30"]
+    return [["factor", str(doc)], verify, verify + ["--constant", rng.choice(_CONSTANTS)]]
+
+
+def _linear_commands(rng, doc, _):
+    root = rng.choice([-1.5, -1, -0.5, 0.5, 1, 2])  # a double root
+    doc.write_text(f'[equation]\norder = 2\ngroup = "additive"\nkind = "linear"\n'
+                   f'b = [{-2 * root!r}, {root * root!r}]\nforcing = "{rng.choice(_FORCINGS)}"\n')
+    solve = ["solve-linear", str(doc), "--init", f"{rng.uniform(-2, 2)!r},{rng.uniform(-2, 2)!r}"]
+    return [solve + ["--n", str(n)] for n in (0, 1, 3)] + [["verify", str(doc), "--trials", "2", "--steps", "10"]]
+
+
+def _general_commands(rng, doc, _):
+    group = rng.choice(["additive", "additive_real", "multiplicative", "multiplicative_nonzero"])
+    doc.write_text(f'[equation]\norder = 3\ngroup = "{group}"\nkind = "general"\n'
+                   f'rhs = "{rng.choice(_GENERAL_RHS)}"\n')
+    return [["verify", str(doc), "--trials", "2", "--steps", "20"],
+            ["simulate", str(doc), "--init", "1,2,4", "--steps", "20"]]
+
+
+class TestNoTraceback:
+    @pytest.mark.parametrize("family, count", [(_separable_commands, 40), (_linear_commands, 12),
+                                               (_general_commands, 6)],
+                             ids=["separable", "linear", "general"])
+    def test_seeded_documents_exit_without_traceback(self, runner, tmp_path, family, count):
+        rng = Random(29)
+        for i in range(count):
+            doc = tmp_path / f"d{i}.eq"
+            for args in family(rng, doc, i % 2 == 0):
+                result = runner.invoke(main, args)
+                assert result.exit_code in (0, 1, 2), (doc.read_text(), args, result.output)
+                assert result.exception is None or isinstance(result.exception, SystemExit), (
+                    doc.read_text(), args, repr(result.exception))
+
+    def test_constant_whose_factor_start_leaves_the_carrier_fails_in_one_line(self, runner, tmp_path):
+        """``r_0 = ln(x_0)*x_{-1}^{-1}`` is negative for half the draws, and
+        ``c = -1`` asks for ``r_0^{-1}`` on the positive carrier."""
+        doc = tmp_path / "m.eq"
+        doc.write_text('[equation]\norder = 2\ngroup = "multiplicative"\nkind = "separable"\n'
+                       'psi0 = "ln(x)"\npsi1 = "1/x"\nforcing = "0.5"\n')
+        result = runner.invoke(main, ["verify", str(doc), "--trials", "3", "--steps", "30", "--constant", "-1"])
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+        assert result.output.splitlines()[1].startswith("equivalence: FAIL (")
+
+    def test_forcing_error_in_the_closed_form_exits_one(self, runner, tmp_path):
+        doc = tmp_path / "l.eq"
+        doc.write_text('[equation]\norder = 2\ngroup = "additive"\nkind = "linear"\n'
+                       'b = [-1.5, 0.5]\nforcing = "ln(n)"\n')
+        result = runner.invoke(main, ["solve-linear", str(doc), "--init", "0,-2", "--n", "0"])
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+        assert result.output.splitlines()[-1] == "Error: logarithm of zero in 'ln(n)'"

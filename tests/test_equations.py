@@ -559,13 +559,11 @@ def test_render_every_sample_document():
 
 def test_group_operations():
     add, mul = GroupTag.ADDITIVE_COMPLEX, GroupTag.MULTIPLICATIVE_POSITIVE
-    assert add.combine(2, 3) == 5 and add.invert(2) == -2 and add.identity == 0
-    assert mul.combine(2, 3) == 6 and mul.invert(2) == 0.5 and mul.identity == 1
+    assert add.combine(2, 3) == 5 and add.identity == 0
+    assert mul.combine(2, 3) == 6 and mul.identity == 1
     assert mul.contains(2.5) and not mul.contains(-1) and not mul.contains(1 + 1j)
     assert GroupTag.MULTIPLICATIVE_NONZERO.contains(-3) and not GroupTag.MULTIPLICATIVE_NONZERO.contains(0)
     assert GroupTag.ADDITIVE_REAL.contains(-3) and not GroupTag.ADDITIVE_REAL.contains(1j)
-    with pytest.raises(CarrierError):
-        mul.invert(0)
 
 
 def test_group_sampling_ranges():
@@ -591,7 +589,6 @@ _nonzero = st.complex_numbers(
 def test_group_axioms_additive(a, b):
     g = GroupTag.ADDITIVE_COMPLEX
     assert g.combine(a, g.identity) == a
-    assert g.combine(a, g.invert(a)) == g.identity
     assert g.combine(a, b) == g.combine(b, a)
 
 
@@ -599,4 +596,3 @@ def test_group_axioms_additive(a, b):
 def test_group_axioms_multiplicative(a):
     g = GroupTag.MULTIPLICATIVE_NONZERO
     assert g.combine(a, g.identity) == a
-    assert abs(g.combine(a, g.invert(a)) - g.identity) < 1e-12

@@ -9,6 +9,7 @@ import pytest
 
 from scfact import (
     FormSymmetry,
+    GeneralMap,
     GroupTag,
     Inversion,
     Polynomial,
@@ -25,6 +26,7 @@ from scfact import (
     render_factorization,
     render_triangular_system,
     separable_additive_equation,
+    separable_multiplicative_equation,
     simulate_cascade,
     simulate_factorization,
     verify_equivalence,
@@ -43,7 +45,8 @@ from scfact import (
 )
 from scfact.factorization import FactorizationError
 from scfact.symmetry import ConstantValidationError
-from scfact.expressions import EvaluationError, Var, evaluate
+from scfact.equations import CarrierError
+from scfact.expressions import EvaluationError, Var, evaluate, parse_expression
 
 from helpers import (
     C_PLUS,
@@ -546,6 +549,26 @@ class TestSimulateAndEquivalence:
         assert not report.passed
         assert report.failure_index is not None
         assert "domain error" in report.note
+
+    def test_factor_start_outside_the_carrier_fails_at_zero(self):
+        """``r_0 = x_0 / (x_{-1} ln x_{-1})`` is negative for ``x_{-1} < 1``,
+        outside the factor's positive carrier: no factor orbit starts."""
+        eq = separable_multiplicative_equation(["ln(x)", "1/x"], "0.5")
+        fact = factor_separable_multiplicative(eq, -1.0, validate=False)
+        with pytest.raises(CarrierError):
+            fact.factor_initial_values((0.5, 2.0))
+        report = verify_equivalence(eq, fact, (0.5, 2.0), 30)
+        assert (report.passed, report.failure_index) == (False, 0)
+        assert report.note.startswith("domain error on the factorization path: factor initial value")
+        assert verify_equivalence(eq, fact, (2.0, 2.0), 30).failure_index != 0
+
+    def test_form_symmetry_domain_error_fails_at_zero(self):
+        eq = general_equation("x0 + x1", 2, GroupTag.ADDITIVE_REAL)
+        sym = FormSymmetry(1, GroupTag.ADDITIVE_REAL, GeneralMap(parse_expression("1/(x0 - 1)"), 1))
+        fact = make_factorization(eq, sym, general_equation("x0", 1, GroupTag.ADDITIVE_REAL))
+        report = verify_equivalence(eq, fact, (1.0, 5.0), 10)
+        assert (report.passed, report.failure_index) == (False, 0)
+        assert report.note == "domain error on the factorization path: division by zero in '1/(x1 - 1)'"
 
     def test_cascade_stage_mismatch_rejected(self):
         outer = factor_hd1(make_hs3())

@@ -1,5 +1,6 @@
 import cmath
 import math
+import struct
 from random import Random
 
 import pytest
@@ -9,6 +10,7 @@ from scfact import (
     GeneralMap,
     GroupTag,
     Inversion,
+    UnaryComponents,
     build_additive_form_symmetry,
     build_multiplicative_form_symmetry,
     check_hd1,
@@ -22,7 +24,7 @@ from scfact import (
     separable_additive_equation,
     solve_reduction_constant,
 )
-from scfact.expressions import Call, DomainError, Var, evaluate, parse_expression, substitute
+from scfact.expressions import Call, DomainError, EvaluationError, Var, evaluate, parse_expression, substitute
 from scfact.factorization import FactorizationError, SemiconjugacyReport, factor_hd1, verify_semiconjugacy
 from scfact.polynomials import Polynomial
 from scfact.symmetry import (
@@ -45,6 +47,7 @@ from helpers import (
     make_hd1m_separable,
     make_hs3,
     make_rk,
+    reference_form_symmetry,
     rel_err,
 )
 
@@ -315,6 +318,68 @@ class TestEvaluateFormSymmetry:
         sym = FormSymmetry(2, GroupTag.ADDITIVE_REAL, Inversion())
         with pytest.raises(ValueError):
             evaluate_form_symmetry(sym, (1, 2))
+
+    def test_zero_under_a_multiplicative_inversion_is_a_domain_error(self):
+        sym = FormSymmetry(1, GroupTag.MULTIPLICATIVE_NONZERO, Inversion())
+        with pytest.raises(DomainError, match="division by zero"):
+            evaluate_form_symmetry(sym, (2, 0))
+
+
+def _form_symmetries(group: GroupTag) -> list:
+    """Every shape over ``group``: inversions of order 1-3; the unary
+    components of hs (complex constant ``C_PLUS``), exp and a linear
+    equation, and hand-written ones; general maps of arity 1-3."""
+    built = [
+        build_multiplicative_form_symmetry(load_equation_file(EQUATIONS_DIR / "hs.eq"), C_PLUS),
+        build_multiplicative_form_symmetry(make_exp(4.6), -1.0),
+        build_additive_form_symmetry(as_separable_additive(linear_equation([-1, -0.25, 0.25])), 0.5),
+    ]
+    symmetries = [FormSymmetry(m, group, Inversion()) for m in (1, 2, 3)]
+    symmetries += [FormSymmetry(1, group, sym.shape, sym.constant, sym.params) for sym in built]
+    texts = ("1/x", "a*ln(x)", "sqrt(x) - x^(-a)", "abs(x)*exp(-x)")
+    symmetries.append(FormSymmetry(1, group, UnaryComponents(tuple(map(parse_expression, texts))), params={"a": 2.5}))
+    for text, arity, m in (("x0^a", 1, 3), ("-(x0 + x1)", 2, 2), ("x0/x1 - ln(x1)", 2, 1),
+                           ("(x0 - x2)^(a*i)/x1", 3, 2)):
+        symmetries.append(FormSymmetry(m, group, GeneralMap(parse_expression(text), arity), params={"a": C_PLUS}))
+    return symmetries
+
+
+# Signed zeros, zeros, huge and tiny magnitudes and negative values, beside
+# each group's own samples and complex values.
+_SPECIAL_INPUTS = (0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), 1e300 + 0j,
+                   -1e300 + 0j, 1e-300 + 0j, -1e-300 + 0j, complex(1e300, -1e300), 1 + 0j, -1 + 0j)
+
+
+def _outcome(evaluate_h, point):
+    """The bits of each output (the sign of zero included), or ``None``
+    when the evaluation raises :class:`EvaluationError`."""
+    try:
+        outputs = evaluate_h(point)
+    except EvaluationError:
+        return None
+    return tuple(struct.pack("<2d", v.real, v.imag) for v in outputs)
+
+
+def test_compiled_form_symmetry_matches_the_reference():
+    """``evaluate_form_symmetry`` runs the lowered trees of H; the
+    evaluator it replaced (``reference_form_symmetry``) gives the same bits
+    and raises on the same points, for every shape over every group."""
+    rng = Random(29)
+    outcomes = {None: 0, "values": 0}
+    for group in GroupTag:
+        for sym in _form_symmetries(group):
+            reference = reference_form_symmetry(sym)
+            for _ in range(150):
+                point = [
+                    rng.choice(_SPECIAL_INPUTS) if rng.random() < 0.3
+                    else group.sample(rng) if rng.random() < 0.5
+                    else complex(rng.uniform(-4, 4), rng.uniform(-4, 4))
+                    for _ in range(sym.input_arity)
+                ]
+                got = _outcome(lambda p: evaluate_form_symmetry(sym, p), point)
+                assert got == _outcome(reference, point), (group, sym.shape, point)
+                outcomes["values" if got else None] += 1
+    assert min(outcomes.values()) > 500, outcomes
 
 
 def test_translation_invariance_of_inversion_symmetry():
