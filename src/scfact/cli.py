@@ -3,8 +3,9 @@
 Exit codes: 0 on success, 1 on validation or verification failure, 2 on
 usage errors.  Initial values are given oldest first (``x_{-k},...,x_0``),
 matching the library convention.  Complex flag values are ``re,im`` pairs;
-all numbers are decimal doubles.  Commands are deterministic for a given
-``--seed`` and identical invocations produce byte-identical CSV output.
+all numbers are finite decimal doubles, and counts have lower bounds.
+Commands are deterministic for a given ``--seed`` and identical invocations
+produce byte-identical CSV output.
 """
 
 from __future__ import annotations
@@ -58,21 +59,21 @@ def _parse_init(text: str, order: int) -> tuple[float, ...]:
         values = tuple(float(part) for part in text.split(","))
     except ValueError:
         raise click.UsageError(f"cannot parse initial values {text!r}")
+    if not all(map(cmath.isfinite, values)):
+        raise click.UsageError(f"initial values must be finite, got {text!r}")
     if len(values) != order:
         raise click.UsageError(f"expected {order} initial values, got {len(values)}")
     return values
 
 
 def _parse_complex(text: str) -> complex:
-    parts = text.split(",")
     try:
-        if len(parts) == 1:
-            return complex(float(parts[0]))
-        if len(parts) == 2:
-            return complex(float(parts[0]), float(parts[1]))
-    except ValueError:
-        pass
-    raise click.UsageError(f"cannot parse complex value {text!r}; use 're,im'")
+        value = complex(*map(float, text.split(",")))
+    except (ValueError, TypeError):
+        raise click.UsageError(f"cannot parse complex value {text!r}; use 're,im'")
+    if not cmath.isfinite(value):
+        raise click.UsageError(f"complex value {text!r} is not finite")
+    return value
 
 
 def _output(path: Optional[str]):
@@ -105,7 +106,7 @@ def main():
 @main.command()
 @click.argument("file", type=click.Path(exists=True, dir_okay=False))
 @click.option("--init", "init_text", required=True, help="initial values, oldest first")
-@click.option("--steps", default=100, show_default=True, type=int)
+@click.option("--steps", default=100, show_default=True, type=click.IntRange(min=0))
 @click.option("--out", default=None, help="CSV destination (default: stdout)")
 @click.option("--tol", default=1e-5, show_default=True, type=float, help="period-detection tolerance")
 @click.option("--seed", default=0, show_default=True, type=int, help="reproducibility seed (simulation is deterministic)")
@@ -162,8 +163,8 @@ def factor(file, constant, out, tol, seed):
 
 @main.command()
 @click.argument("file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--steps", default=100, show_default=True, type=int)
-@click.option("--trials", default=20, show_default=True, type=int)
+@click.option("--steps", default=100, show_default=True, type=click.IntRange(min=1))
+@click.option("--trials", default=20, show_default=True, type=click.IntRange(min=1))
 @click.option("--seed", default=0, show_default=True, type=int)
 @click.option("--tol", default=1e-9, show_default=True, type=float)
 @click.option("--constant", default=None, help="inject a reduction constant 're,im'")
@@ -195,7 +196,7 @@ def verify(file, steps, trials, seed, tol, constant):
 @main.command("solve-linear")
 @click.argument("file", type=click.Path(exists=True, dir_okay=False))
 @click.option("--init", "init_text", required=True, help="initial values, oldest first")
-@click.option("--n", "n_index", required=True, type=int, help="target index n")
+@click.option("--n", "n_index", required=True, type=click.IntRange(min=0), help="target index n")
 @click.option("--tol", default=1e-8, show_default=True, type=float, help="route-agreement tolerance")
 @click.option("--seed", default=0, show_default=True, type=int, help="reproducibility seed (solve is deterministic)")
 def solve_linear(file, init_text, n_index, tol, seed):
@@ -203,8 +204,6 @@ def solve_linear(file, init_text, n_index, tol, seed):
     eq = _load(file)
     if not isinstance(eq.kind, Linear):
         raise click.UsageError("solve-linear requires a linear equation")
-    if n_index < 0:
-        raise click.UsageError("--n must be non-negative")
     init = _parse_init(init_text, eq.order)
     direct_orbit = iterate_orbit(eq, init, n_index)
     if direct_orbit.truncated_at is not None:
@@ -236,8 +235,8 @@ def solve_linear(file, init_text, n_index, tol, seed):
 @click.argument("file", type=click.Path(exists=True, dir_okay=False))
 @click.option("--fix", "fixes", multiple=True, help="fixed coordinate name=value")
 @click.option("--sweep", "sweep_spec", required=True, help="name=lo:hi:count")
-@click.option("--transient", default=100, show_default=True, type=int)
-@click.option("--keep", default=200, show_default=True, type=int)
+@click.option("--transient", default=100, show_default=True, type=click.IntRange(min=0))
+@click.option("--keep", default=200, show_default=True, type=click.IntRange(min=1))
 @click.option("--tol", default=1e-5, show_default=True, type=float)
 @click.option("--out", default=None, help="CSV destination (default: stdout)")
 @click.option("--seed", default=0, show_default=True, type=int, help="reproducibility seed (the sweep is deterministic)")
@@ -250,9 +249,12 @@ def bifurcate(file, fixes, sweep_spec, transient, keep, tol, out, seed):
         if not sep:
             raise click.UsageError(f"--fix expects name=value, got {item!r}")
         try:
-            fixed[name.strip()] = float(value)
+            number = float(value)
         except ValueError:
             raise click.UsageError(f"cannot parse fixed value in {item!r}")
+        if not cmath.isfinite(number):
+            raise click.UsageError(f"fixed value in {item!r} is not finite")
+        fixed[name.strip()] = number
     name, sep, rng_text = sweep_spec.partition("=")
     parts = rng_text.split(":")
     if not sep or len(parts) != 3:

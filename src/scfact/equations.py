@@ -182,7 +182,8 @@ class DifferenceEquation:
     are lowered on first use.  ``var`` is the display letter used when
     rendering.
 
-    The constructor checks the names each part uses: ``rhs`` the lags
+    A separable kind must combine by its group's operation.  The
+    constructor checks the names each part uses: ``rhs`` the lags
     ``x0..xk`` and ``n``, each component ``phi{j}``/``psi{j}`` only ``x``,
     the ``forcing`` only ``n``, all of them also the parameters.  A
     :class:`ValueError` names the part by its document key and lists the
@@ -224,6 +225,10 @@ class DifferenceEquation:
             coeffs = coeffs + (0j,) * (self.order - len(coeffs))
             object.__setattr__(self, "kind", Linear(coeffs, kind.forcing))
         elif isinstance(kind, (SeparableAdditive, SeparableMultiplicative)):
+            if isinstance(kind, SeparableAdditive) != self.group.is_additive:
+                sign = "+" if self.group.is_additive else "*"
+                raise ValueError(f"kind {type(kind).__name__} does not combine by the "
+                                 f"operation '{sign}' of group '{self.group.value}'")
             if len(kind.components) != self.order:
                 raise ValueError(
                     f"expected {self.order} components, got {len(kind.components)}"

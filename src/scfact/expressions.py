@@ -36,8 +36,9 @@ a small tree costs about 26 us, where a lowered call costs about 0.14 us
 constants uses it.  Orbits do not call lowered functions at all:
 ``equations`` splices the same statements (``_emit``) into one compiled loop
 per equation, cofactor and cascade stage, so a step costs little more than
-its arithmetic.  Subtrees that read no argument, such as ``exp(a)``, are
-computed once, when the tree is lowered.
+its arithmetic.  A node whose operands are all constants is computed once,
+as soon as it is emitted, and bound as a constant; so a subtree that reads
+no argument, such as ``exp(a)``, folds bottom-up, and one that raises stays.
 
 The parser is recursive descent and accepts at most 50 nested levels of
 parentheses, calls, unary minus and ``^``; deeper input is a
@@ -293,11 +294,13 @@ def _emit(
     the arguments and constants are complex: then every value is, and the
     conversion would return the value itself.
 
-    A subtree that reads no argument runs once here, through the same
-    lines, and its value is bound as a constant; if it raises, its lines
-    stay.  The walk is :func:`_fold`'s, so depth is unbounded.  Operations
-    run in the tree's order, left operand first.  An unknown name, operator
-    or function raises (:class:`EvaluationError`) here.
+    A node whose operands are all constants (literals, names in ``consts``
+    or folded nodes) runs its lines once, right after emitting them: on
+    success they are deleted and its value is bound as a constant; if they
+    raise, they stay, and the error keeps its node.  The walk is
+    :func:`_fold`'s, so depth is unbounded.  Operations run in the tree's
+    order, left operand first.  An unknown name, operator or function
+    raises (:class:`EvaluationError`) here.
     """
     consts = consts or {}
     guards = funcs or {}
@@ -311,40 +314,21 @@ def _emit(
         namespace[name] = value
         return name
 
-    def fold(start: int, end: int, name: str) -> str | None:
-        """Run ``lines[start:end]``, which compute ``name`` from constants
-        alone, and bind the value in their place; ``None`` when they raise."""
-        scratch: dict = {}
-        code = "\n".join(lines[start:end] + [f"_value = {name}"])
-        try:
-            exec(compile(code, "<folded expression>", "exec"), namespace, scratch)
-        except Exception:
-            return None
-        del lines[start:end]
-        return bind(scratch["_value"])
-
-    def visit(node: Expression, parts: list) -> tuple[str, int, bool]:
-        """``(name, start, constant)``: the name holding ``node``'s value,
-        where its subtree's lines start, and whether it reads no argument."""
+    def visit(node: Expression, parts: list) -> tuple[str, bool]:
+        """``(name, bound)``: the name holding ``node``'s value, and whether
+        it is a constant bound in ``namespace``."""
         if isinstance(node, Const):
-            return bind(node.value), len(lines), True
+            return bind(node.value), True
         if isinstance(node, Var):
             if node.name in slots:
-                return slots[node.name], len(lines), False
+                return slots[node.name], False
             if node.name not in consts:
                 raise UnboundVariableError(f"unbound variable '{node.name}'", node)
             if node.name not in params:
                 params[node.name] = bind(consts[node.name])
-            return params[node.name], len(lines), True
-        names = [name for name, _, _ in parts]
-        constant = all(const for _, _, const in parts)
-        if not constant:  # fold each constant operand, last first
-            for j in reversed(range(len(parts))):
-                name, start, const = parts[j]
-                end = parts[j + 1][1] if j + 1 < len(parts) else len(lines)
-                if const and start < end:
-                    names[j] = fold(start, end, name) or name
-        start = parts[0][1]
+            return params[node.name], True
+        names = [name for name, _ in parts]
+        start = len(lines)
         temp = f"t{next(temps)}"
         if isinstance(node, Neg):
             lines.append(f"{temp} = -{names[0]}")
@@ -368,11 +352,18 @@ def _emit(
                           f'    raise DomainError("domain error in {node.func}", {bind(node)}) from None'])
         else:
             raise EvaluationError(f"unknown function '{node.func}'", node)
-        return temp, start, constant
+        if not all(bound for _, bound in parts):
+            return temp, False
+        code = "\n".join(lines[start:] + [f"_value = {temp}"])
+        scratch: dict = {}
+        try:
+            exec(compile(code, "<folded expression>", "exec"), namespace, scratch)
+        except Exception:
+            return temp, False
+        del lines[start:]
+        return bind(scratch["_value"]), True
 
-    result, start, constant = _fold(expr, visit)
-    if constant and start < len(lines):
-        result = fold(start, len(lines), result) or result
+    result, _ = _fold(expr, visit)
     return lines, result, namespace
 
 

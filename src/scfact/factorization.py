@@ -165,6 +165,9 @@ def _check_shapes(eq: DifferenceEquation, symmetry: FormSymmetry, factor: Differ
         )
     if factor.order != symmetry.m:
         raise ValueError("factor order must equal the symmetry's output count")
+    if symmetry.group.is_additive != eq.group.is_additive:
+        raise ValueError(f"symmetry group '{symmetry.group.value}' and equation group "
+                         f"'{eq.group.value}' have different operations")
 
 
 def make_factorization(
@@ -431,8 +434,12 @@ def factorize(
 def as_sc_factorization(fact: Union[ScFactorization, TriangularSystem]) -> ScFactorization:
     """``fact`` itself, or for a triangular system its first level as a
     form-symmetry factorization: the type-(1,k) reduction of the equation in
-    separable-additive form by ``eigenvalues[0]``."""
+    separable-additive form by ``eigenvalues[0]``, which needs an additive
+    group."""
     if isinstance(fact, TriangularSystem):
+        if not fact.source.group.is_additive:
+            raise FactorizationError(f"a linear equation on group '{fact.source.group.value}' "
+                                     "has no separable-additive form symmetry")
         return factor_separable_additive(as_separable_additive(fact.source), fact.eigenvalues[0])
     return fact
 
@@ -667,7 +674,7 @@ def _symmetry_lines(fact: ScFactorization) -> list[str]:
         for j, comp in enumerate(sym.shape.components, start=1):
             lines.append(f"  h{j}(x) = {format_expression(comp)}")
     else:
-        lines.append(f"form symmetry: components u(j-1) * h with h = {format_expression(sym.shape.h)}")
+        lines.append(f"form symmetry: components u(j-1){op}h with h = {format_expression(sym.shape.h)}")
     if sym.constant is not None:
         lines.append(f"reduction constant: c = {format_complex(sym.constant)}")
     return lines

@@ -360,15 +360,18 @@ def solve_order2_closed_form(
 
     Each ``sigma`` solves the first-order equation ``S(m+1) = c*S(m) + s_m``
     from ``S(0) = 0``, so the double sum is two such running sums advanced
-    side by side: n - 1 forcing calls and about 2n products (see the module
-    notes).  A power past the double range, or a result that is not finite,
-    raises :class:`PolynomialError`, even when ``x_n`` itself is small.
+    side by side: n forcing calls, ``alpha_0`` included, and about 2n
+    products (see the module notes); ``x_0`` reads no forcing.  A power past
+    the double range, or a result that is not finite, raises
+    :class:`PolynomialError`, even when ``x_n`` itself is small.
     """
     if not isinstance(eq.kind, Linear) or eq.order != 2:
         raise TypeError("closed form requires a linear equation of order 2")
     b0 = eq.kind.coefficients[0]
     c0, c1 = find_roots(characteristic_polynomial(eq)).expanded()
     x_m1, x_0 = (complex(v) for v in init)
+    if n == 0:  # no forcing term enters x_0
+        return x_0
     z0 = x_0 + (c0 + b0) * x_m1
     gamma0 = eq.forcing_at(0) + c0 * z0
     try:
@@ -379,8 +382,7 @@ def solve_order2_closed_form(
     inner = outer = 0j
     for m in range(1, n):
         outer, inner = c1 * outer + inner, c0 * inner + eq.forcing_at(m)
-    if n >= 1:
-        outer = c1 * outer + inner
+    outer = c1 * outer + inner
     x_n = powers + outer
     if not cmath.isfinite(x_n):
         raise PolynomialError(f"closed form: x_{n} overflows (non-finite result)")

@@ -454,10 +454,20 @@ def solve_reduction_constant(
 
 
 def _validated(eq: DifferenceEquation, c: complex, validate: bool, tol: float) -> complex:
+    """``c`` as a complex whose powers up to ``c^k``, which the components
+    use, are finite; with ``validate`` its reduction residual must also be
+    at most ``tol`` (a ``nan`` one fails)."""
     c = complex(c)
+    k = eq.order - 1
+    try:
+        finite = cmath.isfinite(c) and cmath.isfinite(c**k)
+    except OverflowError:  # complex ** int raises past the double range
+        finite = False
+    if not finite:
+        raise SymmetryError(f"constant {c!r} is not finite, or its power c^{k} overflows")
     if validate:
         residual = reduction_residual(eq, c)
-        if residual > tol:
+        if not residual <= tol:
             raise ConstantValidationError(c, residual, tol)
     return c
 

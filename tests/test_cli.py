@@ -517,10 +517,44 @@ class TestNoTraceback:
         assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
         assert result.output.splitlines()[1].startswith("equivalence: FAIL (")
 
-    def test_forcing_error_in_the_closed_form_exits_one(self, runner, tmp_path):
+    def test_n_zero_reads_no_forcing_on_any_route(self, runner, tmp_path):
+        """``ln(n)`` raises at n = 0, but ``x_0`` is an initial value."""
         doc = tmp_path / "l.eq"
         doc.write_text('[equation]\norder = 2\ngroup = "additive"\nkind = "linear"\n'
                        'b = [-1.5, 0.5]\nforcing = "ln(n)"\n')
         result = runner.invoke(main, ["solve-linear", str(doc), "--init", "0,-2", "--n", "0"])
+        assert result.exit_code == 0, result.output
+        assert result.output.splitlines() == [f"{route}: x_0 = -2" for route in
+                                              ("direct iteration", "triangular cascade", "closed form")]
+
+    @pytest.mark.parametrize("args", [
+        ["factor", eq("exp.eq"), "--constant", "inf"],
+        ["verify", eq("lin2_sep.eq"), "--constant", "inf", "--trials", "2", "--steps", "5"],
+        ["factor", eq("lin2_sep.eq"), "--constant", "nan"],
+        ["verify", eq("exp.eq"), "--constant", "1,nan"],
+        ["simulate", eq("lin_32.eq"), "--init", "inf,1", "--steps", "3"],
+        ["solve-linear", eq("lin_32.eq"), "--init", "0,-1e999", "--n", "3"],
+        ["bifurcate", eq("exp.eq"), "--fix", "x-1=nan", "--sweep", "x0=2.3:2.5:2"],
+        ["bifurcate", eq("exp.eq"), "--fix", "x-1=2.3", "--sweep", "x0=2.3:2.5:2", "--transient", "3", "--keep", "0"],
+        ["bifurcate", eq("exp.eq"), "--fix", "x-1=2.3", "--sweep", "x0=2.3:2.5:2", "--keep", "-2"],
+        ["bifurcate", eq("exp.eq"), "--fix", "x-1=2.3", "--sweep", "x0=2.3:2.5:2", "--transient", "-3"],
+        ["simulate", eq("lin_32.eq"), "--init", "0,1", "--steps", "-2"],
+        ["verify", eq("exp.eq"), "--trials", "0"],
+        ["verify", eq("exp.eq"), "--steps", "0"],
+        ["solve-linear", eq("lin_32.eq"), "--init", "0,1", "--n", "-1"],
+    ], ids=lambda args: " ".join(args[2:]))
+    def test_non_finite_numbers_and_counts_out_of_range_are_usage_errors(self, runner, args):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2 and isinstance(result.exception, SystemExit), result.output
+        errors = [line for line in result.output.splitlines() if line.startswith("Error: ")]
+        assert len(errors) == 1 and "Traceback" not in result.output
+        assert "finite" in errors[0] or "is not in the range" in errors[0]
+
+    def test_verify_linear_equation_on_a_multiplicative_group_exits_one(self, runner, tmp_path):
+        doc = tmp_path / "l.eq"
+        doc.write_text('[equation]\norder = 2\ngroup = "multiplicative"\nkind = "linear"\n'
+                       'b = [-3, 2]\nforcing = "0"\n')
+        result = runner.invoke(main, ["verify", str(doc), "--trials", "2", "--steps", "5"])
         assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
-        assert result.output.splitlines()[-1] == "Error: logarithm of zero in 'ln(n)'"
+        assert result.output == ("Error: a linear equation on group 'multiplicative' "
+                                 "has no separable-additive form symmetry\n")

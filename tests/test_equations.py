@@ -308,6 +308,19 @@ class TestIteration:
         assert orbit.truncated_at is None
         assert all(v.imag == 0 and v.real > 0 for v in orbit.values)
 
+    @pytest.mark.parametrize("build, group", [
+        (separable_multiplicative_equation, GroupTag.ADDITIVE_COMPLEX),
+        (separable_multiplicative_equation, GroupTag.ADDITIVE_REAL),
+        (separable_additive_equation, GroupTag.MULTIPLICATIVE_POSITIVE),
+        (separable_additive_equation, GroupTag.MULTIPLICATIVE_NONZERO),
+    ])
+    def test_separable_kind_must_combine_by_its_groups_operation(self, build, group):
+        with pytest.raises(ValueError) as err:
+            build(["x", "1/x"], "1", group=group)
+        kind = "SeparableAdditive" if build is separable_additive_equation else "SeparableMultiplicative"
+        assert str(err.value) == (f"kind {kind} does not combine by the operation "
+                                  f"'{'+' if group.is_additive else '*'}' of group '{group.value}'")
+
     def test_as_separable_additive_matches_linear(self):
         eq = linear_equation([-3, 2], forcing="1")
         sep = as_separable_additive(eq)

@@ -39,6 +39,7 @@ from scfact import (
     UnaryComponents,
     as_sc_factorization,
     check_hd1,
+    evaluate_form_symmetry,
     factorize,
     load_equation_file,
     verify_trials,
@@ -789,6 +790,35 @@ def test_make_factorization_checks_arity():
     assert make_factorization(eq, sym, good_factor).m == 2
     with pytest.raises(ValueError):
         make_factorization(eq, sym, general_equation("x0", 1, GroupTag.ADDITIVE_REAL))
+
+
+@pytest.mark.parametrize("eq_group, sym_group", [
+    (GroupTag.ADDITIVE_REAL, GroupTag.MULTIPLICATIVE_POSITIVE),
+    (GroupTag.MULTIPLICATIVE_NONZERO, GroupTag.ADDITIVE_COMPLEX),
+])
+def test_make_factorization_checks_the_group_operation(eq_group, sym_group):
+    """``H`` combining by one operation while the cofactor inverts the other
+    would break ``H o F = Phi o H``."""
+    eq = general_equation("x0*x1", 2, eq_group)
+    sym = FormSymmetry(1, sym_group, Inversion())
+    with pytest.raises(ValueError, match="have different operations"):
+        make_factorization(eq, sym, general_equation("x0", 1, eq_group))
+
+
+@pytest.mark.parametrize("group", list(GroupTag))
+def test_general_map_symmetry_renders_its_groups_operation(group):
+    eq = general_equation("x0", 2, group)
+    sym = FormSymmetry(1, group, GeneralMap(parse_expression("2*x0"), 1))
+    text = render_factorization(make_factorization(eq, sym, general_equation("x0", 1, group)))
+    combine = " + " if group.is_additive else "*"
+    assert f"form symmetry: components u(j-1){combine}h with h = 2*x0" in text.splitlines()
+    assert evaluate_form_symmetry(sym, (3, 5)) == (group.combine(3, 10),)
+
+
+def test_linear_equation_on_a_multiplicative_group_has_no_form_symmetry_route():
+    system = factor_linear_full(linear_equation([-3, 2], group=GroupTag.MULTIPLICATIVE_POSITIVE))
+    with pytest.raises(FactorizationError, match="group 'multiplicative' has no separable-additive"):
+        as_sc_factorization(system)
 
 
 class TestEntryPoints:

@@ -23,7 +23,7 @@ from scfact import (
     separable_multiplicative_equation,
 )
 from scfact.equations import _IN_CARRIER, _general_rhs, _orbit_loop
-from scfact.expressions import _emit, lower, parse_expression
+from scfact.expressions import DomainError, _emit, lower, parse_expression
 
 from helpers import (
     EQUATIONS_DIR,
@@ -177,3 +177,25 @@ def test_folding_keeps_signed_zeros(text):
     # The same subtree folded inside a tree that reads an argument.
     tree = parse_expression(f"{text}*x")
     assert _same_bits(lower(tree, ("x",))(1 + 0j), reference_lower(tree, ("x",))(1 + 0j))
+
+
+@pytest.mark.parametrize("text", ["x*exp(2*500)", "x*(exp(1000) + 1)", "x*(1 + exp(exp(7)))"])
+def test_a_constant_node_that_raises_keeps_its_error(text):
+    """Inside each tree's constant subtree an inner node folds and an outer
+    one overflows at lowering: the call raises the unfolded code's error,
+    naming the same node."""
+    tree = parse_expression(text)
+    with pytest.raises(DomainError) as want:
+        reference_lower(tree, ("x",))(1 + 0j)
+    assert str(want.value).startswith("overflow in exp in ")
+    with pytest.raises(DomainError) as got:
+        lower(tree, ("x",))(1 + 0j)
+    assert str(got.value) == str(want.value)
+    assert got.value.node is want.value.node
+
+
+def test_each_constant_node_folds_as_it_is_emitted():
+    """``exp(7)`` folds although the node above it, ``exp(exp(7))``,
+    overflows and keeps its lines."""
+    lines, _, _ = _emit(parse_expression("x*(1 + exp(exp(7)))"), {"x": "x"})
+    assert sum(line.count("_exp(") for line in lines) == 1

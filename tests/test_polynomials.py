@@ -298,6 +298,12 @@ class TestOrder2ClosedForm:
             solve_order2_closed_form(eq, (0, 0), 40)
         assert str(info.value) == "closed form: x_40 overflows (non-finite result)"
 
+    def test_n_zero_reads_no_forcing(self):
+        eq = linear_equation([-1.5, 0.5], forcing="ln(n)")
+        assert solve_order2_closed_form(eq, (0, -2), 0) == -2
+        with pytest.raises(EvaluationError, match="logarithm of zero"):
+            solve_order2_closed_form(eq, (0, -2), 1)
+
     def test_forcing_error_propagates(self):
         eq = linear_equation([-1.5, 0.5], forcing="1/(n - 5)")
         closed = solve_order2_closed_form(eq, (1, 2), 5)

@@ -27,6 +27,7 @@ from scfact import (
 from scfact.expressions import Call, DomainError, EvaluationError, Var, evaluate, parse_expression, substitute
 from scfact.factorization import FactorizationError, SemiconjugacyReport, factor_hd1, verify_semiconjugacy
 from scfact.polynomials import Polynomial
+from scfact import symmetry
 from scfact.symmetry import (
     ConstantValidationError,
     HD1Report,
@@ -255,6 +256,20 @@ class TestBuildAdditive:
         with pytest.raises(ConstantValidationError) as err:
             build_additive_form_symmetry(sep, 0.5)
         assert err.value.residual > 1e-8
+
+    @pytest.mark.parametrize("validate", [True, False])
+    @pytest.mark.parametrize("c", [math.inf, math.nan, complex(1, math.nan), 1e200])
+    def test_non_finite_constant_or_power_is_typed(self, c, validate):
+        """``c = 1e200`` is finite, but ``c^2`` of an order-3 equation is not."""
+        sep = separable_additive_equation(["x", "x", "-x"], "0")
+        with pytest.raises(SymmetryError, match="is not finite, or its power c\\^2 overflows"):
+            build_additive_form_symmetry(sep, c, validate=validate)
+
+    def test_nan_residual_fails_validation(self, monkeypatch):
+        monkeypatch.setattr(symmetry, "reduction_residual", lambda eq, c: math.nan)
+        sep = as_separable_additive(linear_equation([-3, 2]))
+        with pytest.raises(ConstantValidationError):
+            build_additive_form_symmetry(sep, 2.0)
 
     def test_records_constant(self):
         sep = as_separable_additive(linear_equation([-3, 2]))
