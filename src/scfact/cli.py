@@ -48,7 +48,7 @@ from .symmetry import SymmetryError
 def _load(path: str) -> DifferenceEquation:
     try:
         return load_equation_file(path)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise click.ClickException(f"cannot read {path}: {exc}")
     except DocumentError as exc:
         raise click.ClickException(f"{path}: {exc}")
@@ -64,6 +64,23 @@ def _parse_init(text: str, order: int) -> tuple[float, ...]:
     if len(values) != order:
         raise click.UsageError(f"expected {order} initial values, got {len(values)}")
     return values
+
+
+def _parse_finite(text: str, what: str) -> float:
+    try:
+        number = float(text)
+    except ValueError:
+        raise click.UsageError(f"cannot parse {what}")
+    if not cmath.isfinite(number):
+        raise click.UsageError(f"{what} is not finite")
+    return number
+
+
+def _tolerance(ctx, param, value: float) -> float:
+    """The callback of every ``--tol``: finite and at least 0."""
+    if not (cmath.isfinite(value) and value >= 0):
+        raise click.BadParameter(f"{value!r} is not a finite number at least 0", ctx, param)
+    return value
 
 
 def _parse_complex(text: str) -> complex:
@@ -108,7 +125,7 @@ def main():
 @click.option("--init", "init_text", required=True, help="initial values, oldest first")
 @click.option("--steps", default=100, show_default=True, type=click.IntRange(min=0))
 @click.option("--out", default=None, help="CSV destination (default: stdout)")
-@click.option("--tol", default=1e-5, show_default=True, type=float, help="period-detection tolerance")
+@click.option("--tol", default=1e-5, show_default=True, type=float, callback=_tolerance, help="period-detection tolerance")
 @click.option("--seed", default=0, show_default=True, type=int, help="reproducibility seed (simulation is deterministic)")
 def simulate(file, init_text, steps, out, tol, seed):
     """Iterate an equation and write the orbit CSV, reporting any period."""
@@ -136,7 +153,7 @@ def simulate(file, init_text, steps, out, tol, seed):
 @click.argument("file", type=click.Path(exists=True, dir_okay=False))
 @click.option("--constant", default=None, help="reduction constant as 're,im'")
 @click.option("--out", default=None, help="report destination (default: stdout)")
-@click.option("--tol", default=1e-8, show_default=True, type=float)
+@click.option("--tol", default=1e-8, show_default=True, type=float, callback=_tolerance)
 @click.option("--seed", default=0, show_default=True, type=int)
 def factor(file, constant, out, tol, seed):
     """Construct and print a semiconjugate factorization."""
@@ -166,7 +183,7 @@ def factor(file, constant, out, tol, seed):
 @click.option("--steps", default=100, show_default=True, type=click.IntRange(min=1))
 @click.option("--trials", default=20, show_default=True, type=click.IntRange(min=1))
 @click.option("--seed", default=0, show_default=True, type=int)
-@click.option("--tol", default=1e-9, show_default=True, type=float)
+@click.option("--tol", default=1e-9, show_default=True, type=float, callback=_tolerance)
 @click.option("--constant", default=None, help="inject a reduction constant 're,im'")
 def verify(file, steps, trials, seed, tol, constant):
     """Check the semiconjugacy identity and solution equivalence."""
@@ -197,7 +214,7 @@ def verify(file, steps, trials, seed, tol, constant):
 @click.argument("file", type=click.Path(exists=True, dir_okay=False))
 @click.option("--init", "init_text", required=True, help="initial values, oldest first")
 @click.option("--n", "n_index", required=True, type=click.IntRange(min=0), help="target index n")
-@click.option("--tol", default=1e-8, show_default=True, type=float, help="route-agreement tolerance")
+@click.option("--tol", default=1e-8, show_default=True, type=float, callback=_tolerance, help="route-agreement tolerance")
 @click.option("--seed", default=0, show_default=True, type=int, help="reproducibility seed (solve is deterministic)")
 def solve_linear(file, init_text, n_index, tol, seed):
     """Evaluate x_n by cascade, direct iteration, and (order 2) closed form."""
@@ -237,7 +254,7 @@ def solve_linear(file, init_text, n_index, tol, seed):
 @click.option("--sweep", "sweep_spec", required=True, help="name=lo:hi:count")
 @click.option("--transient", default=100, show_default=True, type=click.IntRange(min=0))
 @click.option("--keep", default=200, show_default=True, type=click.IntRange(min=1))
-@click.option("--tol", default=1e-5, show_default=True, type=float)
+@click.option("--tol", default=1e-5, show_default=True, type=float, callback=_tolerance)
 @click.option("--out", default=None, help="CSV destination (default: stdout)")
 @click.option("--seed", default=0, show_default=True, type=int, help="reproducibility seed (the sweep is deterministic)")
 def bifurcate(file, fixes, sweep_spec, transient, keep, tol, out, seed):
@@ -248,19 +265,13 @@ def bifurcate(file, fixes, sweep_spec, transient, keep, tol, out, seed):
         name, sep, value = item.partition("=")
         if not sep:
             raise click.UsageError(f"--fix expects name=value, got {item!r}")
-        try:
-            number = float(value)
-        except ValueError:
-            raise click.UsageError(f"cannot parse fixed value in {item!r}")
-        if not cmath.isfinite(number):
-            raise click.UsageError(f"fixed value in {item!r} is not finite")
-        fixed[name.strip()] = number
+        fixed[name.strip()] = _parse_finite(value, f"fixed value in {item!r}")
     name, sep, rng_text = sweep_spec.partition("=")
     parts = rng_text.split(":")
     if not sep or len(parts) != 3:
         raise click.UsageError("--sweep expects name=lo:hi:count")
+    lo, hi = (_parse_finite(part, f"sweep range {rng_text!r}") for part in parts[:2])
     try:
-        lo, hi = float(parts[0]), float(parts[1])
         count = int(parts[2])
     except ValueError:
         raise click.UsageError(f"cannot parse sweep range {rng_text!r}")

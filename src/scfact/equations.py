@@ -311,15 +311,14 @@ def _orbit_loop(
     well, otherwise ``feed`` is the number of steps.  The lines of
     ``expressions._emit``, with ``consts`` and ``funcs`` as there, form the
     loop body, so a step performs the operations of the lowered ``expr`` in
-    the same order.  The values of ``init``, ``feed`` and ``consts`` must be
-    complex, which lets the body skip ``complex()`` on function arguments.
+    the same order; like its arguments, ``init`` and ``feed`` are complex.
     ``carrier``, a test from ``_IN_CARRIER``, raises :class:`CarrierError`
     for a value outside it.  The first :class:`EvaluationError` ends the run
     with ``truncated_at = n + 1`` and its message as ``reason``.
     """
     window = [f"x{j}" for j in range(lags)]  # newest first
     slots = {"n": "cn", **({"t": "t"} if driven else {}), **{x: x for x in window}}
-    body, v, namespace = _emit(expr, slots, consts, funcs, complex_args=True)
+    body, v, namespace = _emit(expr, slots, consts, funcs)
     oldest_first = ", ".join(reversed(window))
     lines = ["def run(init, feed):", "    values = []", "    append = values.append"]
     if lags:

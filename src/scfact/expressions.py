@@ -28,9 +28,9 @@ otherwise).  Evaluation is pure and deterministic; trees and bindings are
 immutable and safe to share across threads.
 
 Evaluation has one path.  :func:`lower` compiles a tree once into a Python
-function of positional arguments, with parameters bound as constants; the
-package lowers every equation, symmetry, cofactor and sequence once and
-calls the result.  :func:`evaluate` lowers on every call: a one-shot call of
+function of complex positional arguments, with parameters bound as complex
+constants; the package lowers every equation, symmetry, cofactor and
+sequence once and calls the result.  :func:`evaluate` lowers on every call: a one-shot call of
 a small tree costs about 26 us, where a lowered call costs about 0.14 us
 (the former tree walker took about 0.5 us), so only the parsing of document
 constants uses it.  Orbits do not call lowered functions at all:
@@ -223,16 +223,13 @@ def _children(node: Expression) -> tuple[Expression, ...]:
 # ----------------------------------------------------------------------
 
 
-def _ln(v, node: Call) -> complex:
-    v = complex(v)
+def _ln(v: complex, node: Call) -> complex:
     if v == 0:
         raise DomainError("logarithm of zero", node)
     return cmath.log(v)
 
 
-def _power(w, c, node: BinOp) -> complex:
-    w = complex(w)
-    c = complex(c)
+def _power(w: complex, c: complex, node: BinOp) -> complex:
     if w == 0:
         if c.real > 0:
             return 0j
@@ -257,10 +254,11 @@ _OPERATORS = {
     "^": ("{3} = _power({0}, {1}, {2})",),
 }
 
-# Value of each function of a complex argument {0}.  An OverflowError, or the
-# ValueError of sin or cos at inf, becomes a DomainError; ln calls ``_ln``.
+# Value of each function of a complex argument {0}; {1} is the node.  An
+# OverflowError, or the ValueError of sin or cos at inf, becomes a DomainError.
 _CALLS = {
     "exp": "_exp({0})",
+    "ln": "_ln({0}, {1})",
     "sqrt": "_sqrt({0})",
     "sin": "_sin({0})",
     "cos": "_cos({0})",
@@ -271,7 +269,7 @@ _CALLS = {
 }
 
 #: Function names accepted by the grammar's ``IDENT "(" expr ")"`` production.
-FUNCTIONS = frozenset(_CALLS) | {"ln"}
+FUNCTIONS = frozenset(_CALLS)
 
 
 def _emit(
@@ -279,20 +277,18 @@ def _emit(
     slots: Mapping[str, str],
     consts: Mapping[str, complex] | None = None,
     funcs: Mapping[str, tuple[str, Callable]] | None = None,
-    complex_args: bool = False,
 ) -> tuple[list[str], str, dict]:
     """Straight-line code computing ``expr``: ``(lines, result, namespace)``.
 
     ``slots`` maps each argument to the name the code reads it from, and
-    the names in ``consts`` are bound as constants.  The lines, relatively
-    indented, leave the value in the name ``result``; they read the
-    constants, helpers and nodes from ``namespace``.  ``funcs`` adds guards
-    ``name: (test, reject)``: such a call passes its argument's value on
-    when the source ``test.format(value)`` holds, and otherwise calls
-    ``reject(value, node)``, which raises.  A function converts its
-    argument with ``complex()`` first, unless ``complex_args`` promises that
-    the arguments and constants are complex: then every value is, and the
-    conversion would return the value itself.
+    the names in ``consts`` are bound as constants, each converted with
+    ``complex()``.  Every value the code reads or computes is complex, so
+    the arguments must be too.  The lines, relatively indented, leave the
+    value in the name ``result``; they read the constants, helpers and
+    nodes from ``namespace``.  ``funcs`` adds guards ``name: (test, reject)``:
+    such a call passes its argument's value on when the source
+    ``test.format(value)`` holds, and otherwise calls ``reject(value,
+    node)``, which raises.
 
     A node whose operands are all constants (literals, names in ``consts``
     or folded nodes) runs its lines once, right after emitting them: on
@@ -325,7 +321,7 @@ def _emit(
             if node.name not in consts:
                 raise UnboundVariableError(f"unbound variable '{node.name}'", node)
             if node.name not in params:
-                params[node.name] = bind(consts[node.name])
+                params[node.name] = bind(complex(consts[node.name]))
             return params[node.name], True
         names = [name for name, _ in parts]
         start = len(lines)
@@ -341,15 +337,13 @@ def _emit(
             lines.append(f"if not ({test.format(names[0])}):")
             lines.append(f"    {bind(reject)}({names[0]}, {bind(node)})")
             temp = names[0]
-        elif node.func == "ln":
-            lines.append(f"{temp} = _ln({names[0]}, {bind(node)})")
         elif node.func in _CALLS:
-            arg = names[0] if complex_args else f"complex({names[0]})"
-            lines.extend(["try:", f"    {temp} = {_CALLS[node.func].format(arg)}",
+            ref = bind(node)
+            lines.extend(["try:", f"    {temp} = {_CALLS[node.func].format(names[0], ref)}",
                           "except OverflowError:",
-                          f'    raise DomainError("overflow in {node.func}", {bind(node)}) from None',
+                          f'    raise DomainError("overflow in {node.func}", {ref}) from None',
                           "except ValueError:",
-                          f'    raise DomainError("domain error in {node.func}", {bind(node)}) from None'])
+                          f'    raise DomainError("domain error in {node.func}", {ref}) from None'])
         else:
             raise EvaluationError(f"unknown function '{node.func}'", node)
         if not all(bound for _, bound in parts):
@@ -373,8 +367,8 @@ def lower(
     consts: Mapping[str, complex] | None = None,
     funcs: Mapping[str, tuple[str, Callable]] | None = None,
 ) -> Callable[..., complex]:
-    """Compile ``expr`` once into a function of positional arguments, one per
-    name in ``args``, with the names in ``consts`` bound as constants.
+    """Compile ``expr`` once into a function of complex positional arguments,
+    one per name in ``args``, with the names in ``consts`` bound as constants.
 
     The body is :func:`_emit`'s code, where ``funcs`` is described.  The
     source holds only generated names and the fixed templates above;
@@ -406,7 +400,7 @@ def evaluate(expr: Expression, env: Mapping[str, complex]) -> complex:
     lines, result, namespace = _emit(expr, {}, env)
     if lines:  # the fold raised: run the lines again to raise it here
         exec(compile("\n".join(lines), "<evaluated expression>", "exec"), namespace)
-    return complex(namespace[result])
+    return namespace[result]
 
 
 def _fold(expr: Expression, visit: Callable[[Expression, list], object]):

@@ -26,6 +26,7 @@ import cmath
 import operator
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from itertools import accumulate
 from math import exp
 from random import Random
 from typing import Optional, Sequence, Union
@@ -218,19 +219,10 @@ def factor_hd1(eq: DifferenceEquation, seed: int = 0) -> ScFactorization:
     src = as_general(eq)
     k = eq.order - 1
     group = eq.group
-    mapping: dict[str, Expression] = {
-        "x0": Const(group.identity)
-    }
-    running: Optional[Expression] = None
-    for i in range(1, k + 1):
-        term = Var(f"x{i - 1}")
-        if running is None:
-            running = term
-        elif group.is_additive:
-            running = running + term
-        else:
-            running = running * term
-        mapping[f"x{i}"] = -running if group.is_additive else Const(1) / running
+    mapping: dict[str, Expression] = {"x0": Const(group.identity)}
+    running = accumulate((Var(f"x{i}") for i in range(k)), group.combine)
+    for i, product in enumerate(running, 1):
+        mapping[f"x{i}"] = -product if group.is_additive else Const(1) / product
     factor_rhs = substitute(src.kind.rhs, mapping)
     factor = DifferenceEquation(k, group, General(factor_rhs), eq.params, eq.name, var="t")
 

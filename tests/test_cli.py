@@ -383,6 +383,55 @@ class TestBifurcate:
         assert result.exit_code == 0
 
 
+class TestMessages:
+    """Each bad input ends in its own one-line message."""
+
+    @pytest.mark.parametrize("args, code, message", [
+        (["simulate", eq("lin_32.eq"), "--init", "a,1"], 2, "cannot parse initial values 'a,1'"),
+        (["factor", eq("exp.eq"), "--constant", "x"], 2, "cannot parse complex value 'x'; use 're,im'"),
+        (["simulate", eq("exp.eq"), "--init", "-1,2"], 2, "initial value (-1+0j) is outside the group carrier"),
+        (["bifurcate", eq("exp.eq"), "--fix", "x-1", "--sweep", "x0=1:2:3"], 2, "--fix expects name=value, got 'x-1'"),
+        (["bifurcate", eq("exp.eq"), "--fix", "x-1=abc", "--sweep", "x0=1:2:3"], 2,
+         "cannot parse fixed value in 'x-1=abc'"),
+        (["bifurcate", eq("exp.eq"), "--fix", "x-1=2.3", "--sweep", "x0=1:2"], 2, "--sweep expects name=lo:hi:count"),
+        (["bifurcate", eq("exp.eq"), "--fix", "x-1=2.3", "--sweep", "x0=a:2:3"], 2, "cannot parse sweep range 'a:2:3'"),
+        (["bifurcate", eq("exp.eq"), "--fix", "x-1=2.3", "--sweep", "x0=1:2:a"], 2, "cannot parse sweep range '1:2:a'"),
+        (["bifurcate", eq("exp.eq"), "--fix", "x-1=2.3", "--sweep", "x0=1:2:0"], 2, "sweep count must be at least 1"),
+        (["bifurcate", eq("exp.eq"), "--fix", "x-1=2.3", "--sweep", "x0=2:1:3"], 2, "grid must be strictly increasing"),
+        (["bifurcate", eq("lin_32.eq"), "--fix", "x-1=0", "--sweep", "x0=-1:inf:3"], 2,
+         "sweep range '-1:inf:3' is not finite"),
+        (["solve-linear", eq("lin_32.eq"), "--init", "0,1", "--n", "1", "--tol", "nan"], 2,
+         "Invalid value for '--tol': nan is not a finite number at least 0"),
+    ], ids=lambda value: " ".join(value[2:]) if isinstance(value, list) else None)
+    def test_bad_input_gives_its_message(self, runner, args, code, message):
+        result = runner.invoke(main, args)
+        assert result.exit_code == code and isinstance(result.exception, SystemExit), result.output
+        assert [line for line in result.output.splitlines() if line.startswith("Error: ")] == [f"Error: {message}"]
+
+    def test_routes_that_disagree_exit_one(self, runner):
+        result = runner.invoke(main, ["solve-linear", eq("lin_32.eq"), "--init", "0,1", "--n", "10", "--tol", "0"])
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+        assert result.stderr == "routes disagree beyond 0 relative\n"
+
+    def test_invalid_points_are_counted(self, runner, tmp_path):
+        doc = tmp_path / "r.eq"
+        doc.write_text('[equation]\norder = 1\ngroup = "additive"\nkind = "general"\nrhs = "1/x0"\n')
+        out = tmp_path / "sweep.csv"
+        result = runner.invoke(main, ["bifurcate", str(doc), "--sweep", "x0=-1:1:3", "--transient", "2",
+                                      "--keep", "2", "--out", str(out)])
+        assert result.exit_code == 0
+        assert result.output.splitlines()[-1] == "  invalid: 1 point(s)"
+        assert "0.0,NaN\n" in out.read_text()
+
+    def test_document_that_is_not_utf8_cannot_be_read(self, runner, tmp_path):
+        doc = tmp_path / "bad.eq"
+        doc.write_bytes(b'[equation]\nname = "\xff"\norder = 1\n')
+        result = runner.invoke(main, ["parse", str(doc)])
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+        assert result.output == (f"Error: cannot read {doc}: 'utf-8' codec can't decode byte 0xff "
+                                 "in position 19: invalid start byte\n")
+
+
 class TestParse:
     def test_valid_document(self, runner):
         result = runner.invoke(main, ["parse", eq("exp.eq")])
@@ -542,6 +591,16 @@ class TestNoTraceback:
         ["verify", eq("exp.eq"), "--trials", "0"],
         ["verify", eq("exp.eq"), "--steps", "0"],
         ["solve-linear", eq("lin_32.eq"), "--init", "0,1", "--n", "-1"],
+        ["solve-linear", eq("lin_32.eq"), "--init", "0,1", "--n", "10", "--tol", "nan"],
+        ["solve-linear", eq("lin_32.eq"), "--init", "0,1", "--n", "10", "--tol", "-1"],
+        ["simulate", eq("hd0.eq"), "--init", "1,2", "--steps", "12", "--tol", "nan"],
+        ["simulate", eq("hd0.eq"), "--init", "1,2", "--steps", "12", "--tol", "inf"],
+        ["factor", eq("exp.eq"), "--tol", "nan"],
+        ["verify", eq("exp.eq"), "--trials", "3", "--steps", "20", "--tol", "nan"],
+        ["bifurcate", eq("exp.eq"), "--fix", "x-1=2.3", "--sweep", "x0=2.3:4.8:5", "--transient", "20",
+         "--keep", "12", "--tol", "nan"],
+        ["bifurcate", eq("lin_32.eq"), "--fix", "x-1=0", "--sweep", "x0=nan:1:3", "--transient", "5", "--keep", "2"],
+        ["bifurcate", eq("lin_32.eq"), "--fix", "x-1=0", "--sweep", "x0=-1:inf:3", "--transient", "5", "--keep", "2"],
     ], ids=lambda args: " ".join(args[2:]))
     def test_non_finite_numbers_and_counts_out_of_range_are_usage_errors(self, runner, args):
         result = runner.invoke(main, args)

@@ -7,12 +7,16 @@ import pytest
 
 from scfact import (
     CarrierError,
+    Const,
+    DifferenceEquation,
     DocumentError,
     DomainError,
     EvaluationError,
     GroupTag,
     Linear,
+    SeparableAdditive,
     SeparableMultiplicative,
+    Var,
     as_general,
     as_separable_additive,
     detect_period,
@@ -224,6 +228,17 @@ SINGLE_FAULT_DOCUMENTS = {
         "key 'b[1]': syntax error at offset 3: unexpected end of input "
         "(expected a number, a name, '-', or '(')",
     ),
+    "no-equals": (_document("general", "additive", 1, 'rhs = "x0"\nrhs'), "line 6: expected 'key = value'"),
+    "no-value": (_document("general", "additive", "", 'rhs = "x0"'), "line 2: expected 'key = value'"),
+    "duplicate": (_document("general", "additive", 1, 'rhs = "x0"\norder = 1'), "line 6: duplicate key 'order'"),
+    "unquoted": ('[equation]\norder = 1\ngroup = additive\nkind = "general"\nrhs = "x0"\n',
+                 "key 'group' must be a double-quoted string"),
+    "param-variable": (_document("general", "additive", 1, 'rhs = "a*x0"', 'a = "x"'), "key 'a' must be a constant"),
+    "param-ln0": (_document("general", "additive", 1, 'rhs = "a*x0"', "a = ln(0)"),
+                  "key 'a': logarithm of zero in 'ln(0)'"),
+    "order-fraction": (_document("general", "additive", 1.5, 'rhs = "x0"'), "key 'order' must be an integer"),
+    "list-bare": (_document("linear", "additive", 1, 'b = 1\nforcing = "0"'), "key 'b' must be a bracketed list"),
+    "no-equation": ("[params]\na = 1\n", "missing [equation] section"),
 }
 
 
@@ -233,6 +248,21 @@ def test_single_fault_document_messages(case):
     with pytest.raises(DocumentError) as err:
         load_equation(text)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: general_equation("x0", 0), ValueError, "order must be at least 1"),
+    (lambda: linear_equation([1, 2, 3], order=2), ValueError, "more coefficients than the order allows"),
+    (lambda: DifferenceEquation(2, GroupTag.ADDITIVE_COMPLEX, SeparableAdditive((Var("x"),), Const(0))),
+     ValueError, "expected 2 components, got 1"),
+    (lambda: DifferenceEquation(1, GroupTag.ADDITIVE_COMPLEX, "x0"), TypeError, "unknown kind 'x0'"),
+    (lambda: general_equation("x0", 1).forcing_at(0), TypeError, "general equations have no separate forcing"),
+    (lambda: as_separable_additive(general_equation("x0", 1)), TypeError,
+     "only linear equations convert to separable-additive form"),
+], ids=["order-0", "coefficients", "components", "kind", "forcing_at", "as_separable_additive"])
+def test_constructor_and_conversion_errors(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
 
 
 class TestIteration:
