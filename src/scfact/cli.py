@@ -15,42 +15,23 @@ from typing import Optional
 
 import click
 
-from .dynamics import bifurcation_sweep, write_bifurcation_csv
-from .equations import (
-    DifferenceEquation,
-    DocumentError,
-    General,
-    Linear,
-    SeparableAdditive,
-    SeparableMultiplicative,
-    _smallest_period,
-    iterate_orbit,
-    load_equation_file,
-    render_equation,
-    write_orbit_csv,
-)
-from .expressions import EvaluationError, format_complex
-from .factorization import (
-    FactorizationError,
-    TriangularSystem,
-    as_sc_factorization,
-    factor_linear_full,
-    factorize,
-    render_factorization,
-    render_triangular_system,
-    verify_semiconjugacy,
-    verify_trials,
-)
-from .polynomials import PolynomialError, solve_order2_closed_form
-from .symmetry import SymmetryError
+from . import dynamics, equations, expressions, factorization, polynomials, symmetry
 
 
-def _load(path: str) -> DifferenceEquation:
+def __getattr__(name: str):
+    """The typed errors a command reports, read from their modules on first use."""
+    for module in (equations, expressions, polynomials, symmetry, factorization):
+        if name.endswith("Error") and name in module.__all__:
+            return getattr(module, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _load(path: str) -> equations.DifferenceEquation:
     try:
-        return load_equation_file(path)
+        return equations.load_equation_file(path)
     except (OSError, UnicodeDecodeError) as exc:
         raise click.ClickException(f"cannot read {path}: {exc}")
-    except DocumentError as exc:
+    except equations.DocumentError as exc:
         raise click.ClickException(f"{path}: {exc}")
 
 
@@ -111,7 +92,10 @@ class _Commands(click.Group):
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except (PolynomialError, FactorizationError, SymmetryError, EvaluationError) as exc:
+        except (click.ClickException, click.exceptions.Exit, SystemExit):
+            raise  # before reading the error types, which would run modules a parse never needs
+        except (polynomials.PolynomialError, factorization.FactorizationError, symmetry.SymmetryError,
+                expressions.EvaluationError) as exc:
             raise click.ClickException(str(exc))
 
 
@@ -132,13 +116,13 @@ def simulate(file, init_text, steps, out, tol, seed):
     eq = _load(file)
     init = _parse_init(init_text, eq.order)
     try:
-        orbit = iterate_orbit(eq, init, steps)
+        orbit = equations.iterate_orbit(eq, init, steps)
     except ValueError as exc:
         raise click.UsageError(str(exc))
     with _output(out) as fh:
-        write_orbit_csv(orbit, fh)
+        equations.write_orbit_csv(orbit, fh)
     total = len(orbit.full_sequence)
-    period = _smallest_period(orbit.full_sequence, tol, min(64, max(1, (total - 2) // 2)))
+    period = equations._smallest_period(orbit.full_sequence, tol, min(64, max(1, (total - 2) // 2)))
     if period:
         click.echo(f"period {period}")
     if orbit.truncated_at is not None:
@@ -160,14 +144,14 @@ def factor(file, constant, out, tol, seed):
     eq = _load(file)
     requested = _parse_complex(constant) if constant is not None else None
     with _output(out) as fh:
-        fact, constants = factorize(eq, requested, tol, seed)
-        if isinstance(fact, TriangularSystem):
-            fh.write(render_triangular_system(fact) + "\n")
+        fact, constants = factorization.factorize(eq, requested, tol, seed)
+        if isinstance(fact, factorization.TriangularSystem):
+            fh.write(factorization.render_triangular_system(fact) + "\n")
             return
         residual = None
         if constants is not None:
             lines = [
-                f"  c = {format_complex(rc.value)} (multiplicity {rc.multiplicity}, "
+                f"  c = {expressions.format_complex(rc.value)} (multiplicity {rc.multiplicity}, "
                 f"residual {rc.residual:.2e})"
                 for rc in constants.constants
             ]
@@ -175,7 +159,7 @@ def factor(file, constant, out, tol, seed):
             for rc in constants.constants:
                 if abs(rc.value - fact.symmetry.constant) <= 1e-9 * (1 + abs(rc.value)):
                     residual = rc.residual
-        fh.write(render_factorization(fact, residual) + "\n")
+        fh.write(factorization.render_factorization(fact, residual) + "\n")
 
 
 @main.command()
@@ -189,16 +173,16 @@ def verify(file, steps, trials, seed, tol, constant):
     """Check the semiconjugacy identity and solution equivalence."""
     eq = _load(file)
     requested = _parse_complex(constant) if constant is not None else None
-    fact, _ = factorize(eq, requested, seed=seed, validate=requested is None)
-    route = as_sc_factorization(fact)
-    semi = verify_semiconjugacy(eq, route.symmetry, route.factor, samples=200, tol=tol, seed=seed)
+    fact, _ = factorization.factorize(eq, requested, seed=seed, validate=requested is None)
+    route = factorization.as_sc_factorization(fact)
+    semi = factorization.verify_semiconjugacy(eq, route.symmetry, route.factor, samples=200, tol=tol, seed=seed)
     status = "pass" if semi.passed else "FAIL"
     click.echo(
         f"semiconjugacy: {status} ({semi.samples} samples, "
         f"max residual {semi.max_residual:.3e})"
     )
 
-    summary = verify_trials(eq, fact, trials, steps, seed, tol)
+    summary = factorization.verify_trials(eq, fact, trials, steps, seed, tol)
     status = "pass" if summary.failures == 0 else f"FAIL ({summary.failures} of {trials} trials)"
     click.echo(
         f"equivalence: {status} ({trials} trials x {steps} steps, "
@@ -219,10 +203,10 @@ def verify(file, steps, trials, seed, tol, constant):
 def solve_linear(file, init_text, n_index, tol, seed):
     """Evaluate x_n by cascade, direct iteration, and (order 2) closed form."""
     eq = _load(file)
-    if not isinstance(eq.kind, Linear):
+    if not isinstance(eq.kind, equations.Linear):
         raise click.UsageError("solve-linear requires a linear equation")
     init = _parse_init(init_text, eq.order)
-    direct_orbit = iterate_orbit(eq, init, n_index)
+    direct_orbit = equations.iterate_orbit(eq, init, n_index)
     if direct_orbit.truncated_at is not None:
         raise click.ClickException(
             f"direct iteration failed: {direct_orbit.truncation_reason}"
@@ -230,17 +214,17 @@ def solve_linear(file, init_text, n_index, tol, seed):
     direct = direct_orbit.full_sequence[-1]
     if not cmath.isfinite(direct):
         raise click.ClickException(
-            f"direct iteration: x_{n_index} = {format_complex(direct)} is not finite"
+            f"direct iteration: x_{n_index} = {expressions.format_complex(direct)} is not finite"
         )
-    system = factor_linear_full(eq)
+    system = factorization.factor_linear_full(eq)
     cascade_orbit, _ = system.simulate(init, n_index)
     cascade = cascade_orbit.full_sequence[-1]
-    click.echo(f"direct iteration: x_{n_index} = {format_complex(direct)}")
-    click.echo(f"triangular cascade: x_{n_index} = {format_complex(cascade)}")
+    click.echo(f"direct iteration: x_{n_index} = {expressions.format_complex(direct)}")
+    click.echo(f"triangular cascade: x_{n_index} = {expressions.format_complex(cascade)}")
     values = [direct, cascade]
     if eq.order == 2:
-        closed = solve_order2_closed_form(eq, init, n_index)
-        click.echo(f"closed form: x_{n_index} = {format_complex(closed)}")
+        closed = polynomials.solve_order2_closed_form(eq, init, n_index)
+        click.echo(f"closed form: x_{n_index} = {expressions.format_complex(closed)}")
         values.append(closed)
     scale = 1 + abs(direct)
     if any(abs(v - direct) > tol * scale for v in values):
@@ -277,9 +261,11 @@ def bifurcate(file, fixes, sweep_spec, transient, keep, tol, out, seed):
         raise click.UsageError(f"cannot parse sweep range {rng_text!r}")
     if count < 1:
         raise click.UsageError("sweep count must be at least 1")
+    if count > 1 and not cmath.isfinite(hi - lo):
+        raise click.UsageError(f"sweep range {rng_text!r} is too wide")
     grid = [lo] if count == 1 else [lo + (hi - lo) * j / (count - 1) for j in range(count)]
     try:
-        data = bifurcation_sweep(
+        data = dynamics.bifurcation_sweep(
             eq, fixed, name.strip(), grid, transient, keep, period_tol=tol
         )
     except KeyError as exc:
@@ -287,7 +273,7 @@ def bifurcate(file, fixes, sweep_spec, transient, keep, tol, out, seed):
     except ValueError as exc:
         raise click.UsageError(str(exc))
     with _output(out) as fh:
-        write_bifurcation_csv(data, fh)
+        dynamics.write_bifurcation_csv(data, fh)
     census = data.period_census()
     click.echo("period census:")
     for period in sorted(census):
@@ -307,10 +293,10 @@ def parse_cmd(file, seed):
     eq = _load(file)
     kind = eq.kind
     kind_name = {
-        General: "general",
-        Linear: "linear",
-        SeparableAdditive: "separable (additive)",
-        SeparableMultiplicative: "separable (multiplicative)",
+        equations.General: "general",
+        equations.Linear: "linear",
+        equations.SeparableAdditive: "separable (additive)",
+        equations.SeparableMultiplicative: "separable (multiplicative)",
     }[type(kind)]
     click.echo(f"name: {eq.name or '(unnamed)'}")
     click.echo(f"kind: {kind_name}")
@@ -318,10 +304,10 @@ def parse_cmd(file, seed):
     click.echo(f"group: {eq.group.value}")
     if eq.params:
         rendered = ", ".join(
-            f"{k} = {format_complex(v)}" for k, v in sorted(eq.params.items())
+            f"{k} = {expressions.format_complex(v)}" for k, v in sorted(eq.params.items())
         )
         click.echo(f"params: {rendered}")
-    click.echo(render_equation(eq))
+    click.echo(equations.render_equation(eq))
 
 
 if __name__ == "__main__":

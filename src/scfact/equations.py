@@ -671,7 +671,7 @@ def load_equation(text: str, *, name: str = "") -> DifferenceEquation:
 
 def load_equation_file(path) -> DifferenceEquation:
     path = Path(path)
-    return load_equation(path.read_text(encoding="utf-8"), name=path.stem)
+    return load_equation(path.read_text(encoding="utf-8-sig"), name=path.stem)
 
 
 # ----------------------------------------------------------------------

@@ -1,9 +1,14 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
 from click.testing import CliRunner
 
+import scfact
 from scfact.cli import main
 
 from helpers import EQUATIONS_DIR
@@ -400,6 +405,8 @@ class TestMessages:
         (["bifurcate", eq("exp.eq"), "--fix", "x-1=2.3", "--sweep", "x0=2:1:3"], 2, "grid must be strictly increasing"),
         (["bifurcate", eq("lin_32.eq"), "--fix", "x-1=0", "--sweep", "x0=-1:inf:3"], 2,
          "sweep range '-1:inf:3' is not finite"),
+        (["bifurcate", eq("lin_32.eq"), "--fix", "x-1=0", "--sweep", "x0=-1e308:1e308:3"], 2,
+         "sweep range '-1e308:1e308:3' is too wide"),
         (["solve-linear", eq("lin_32.eq"), "--init", "0,1", "--n", "1", "--tol", "nan"], 2,
          "Invalid value for '--tol': nan is not a finite number at least 0"),
     ], ids=lambda value: " ".join(value[2:]) if isinstance(value, list) else None)
@@ -617,3 +624,33 @@ class TestNoTraceback:
         assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
         assert result.output == ("Error: a linear equation on group 'multiplicative' "
                                  "has no separable-additive form symmetry\n")
+
+
+# Runs ``python -m scfact.cli ARGS`` and prints its exit code and the scfact
+# modules that ran: one that has not run is still the lazy loader's subclass
+# of ``types.ModuleType``.
+RUN_CLI = """
+import runpy, sys, types
+try:
+    runpy.run_module("scfact.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+ran = sorted(name for name, module in sys.modules.items() if type(module) is types.ModuleType)
+print(code, *(name.partition(".")[2] for name in ran if name.startswith("scfact.")))
+"""
+
+
+@pytest.mark.parametrize("args, ran", [
+    (["parse", "exp.eq"], "0 equations expressions"),
+    (["simulate", "hd0.eq", "--init", "1,2", "--steps", "5"], "0 equations expressions"),
+    (["simulate", "exp.eq", "--init", "-1,2"], "2 equations expressions"),
+    (["bifurcate", "exp.eq", "--fix", "x-1=2.3", "--sweep", "x0=2.3:4.8:5", "--transient", "10", "--keep", "10"],
+     "0 dynamics equations expressions polynomials"),
+    (["factor", "exp.eq"], "0 equations expressions factorization polynomials symmetry"),
+], ids=["parse", "simulate", "simulate-usage-error", "bifurcate", "factor"])
+def test_a_command_runs_only_the_modules_it_uses(args, ran):
+    src = str(Path(scfact.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", RUN_CLI, *args], cwd=EQUATIONS_DIR, env=env,
+                            capture_output=True, text=True, timeout=30)
+    assert result.stdout.splitlines()[-1] == ran, result.stderr

@@ -173,6 +173,12 @@ class TestLoader:
             eq = load_equation_file(path)
             assert eq.order >= 1
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        for path in sorted(EQUATIONS_DIR.glob("*.eq")):
+            copy = tmp_path / path.name
+            copy.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+            assert load_equation_file(copy) == load_equation_file(path), path.name
+
 
 def _document(kind, group, order, body, params=""):
     return (
