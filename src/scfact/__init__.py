@@ -34,10 +34,13 @@ __version__ = "0.1.0"
 
 
 def __getattr__(name: str):
-    """Bind every module's public names, and ``__all__``, on first use."""
-    modules = [globals()[module] for module in _MODULES]
-    names = {key: getattr(module, key) for module in modules for key in module.__all__}
-    globals().update(names, __all__=list(names))
-    if name in names or name == "__all__":
-        return globals()[name]
+    """Bind every module's public names, and ``__all__``, on first use.
+    ``from scfact import cli`` asks for ``cli`` before importing it, which
+    must not load the library."""
+    if name != "cli":
+        modules = [globals()[module] for module in _MODULES]
+        names = {key: getattr(module, key) for module in modules for key in module.__all__}
+        globals().update(names, __all__=list(names))
+        if name in names or name == "__all__":
+            return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -311,4 +311,4 @@ def parse_cmd(file, seed):
 
 
 if __name__ == "__main__":
-    main()
+    main()  # runs only in a subprocess, which line coverage does not count

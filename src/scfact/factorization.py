@@ -149,9 +149,6 @@ class ScFactorization:
         """Initial values for the factor equation, oldest first, from the
         source's oldest-first initial values.  A domain error of H, or a
         value outside the factor's carrier, raises :class:`EvaluationError`."""
-        init = [complex(v) for v in init]
-        if len(init) != self.source.order:
-            raise ValueError(f"expected {self.source.order} initial values")
         outputs = evaluate_form_symmetry(self.symmetry, init[::-1])[::-1]
         for v in outputs:
             if not self.factor.group.contains(v):
@@ -243,26 +240,12 @@ def factor_separable_additive(
 
     Factor ``z_{n+1} = alpha_n + c z_n``; cofactor
     ``x_{n+1} = z_{n+1} - h_1(x_n) - ... - h_k(x_{n-k+1})``; the reduced
-    variable starts at ``z_0 = x_0 + sum_j h_j(x_{-j})``.  The closing
-    identity ``c * h_k(z) = phi_k(z)`` is checked on the probe points.  ``z``
-    is complex when ``c`` is, even for a real source, so the factor's group
-    is always the complex additive one.
+    variable starts at ``z_0 = x_0 + sum_j h_j(x_{-j})``.  ``z`` is complex
+    when ``c`` is, even for a real source, so the factor's group is always
+    the complex additive one.
     """
     symmetry = build_additive_form_symmetry(eq, c, validate=validate, tol=tol)
     c = symmetry.constant
-    k = eq.order - 1
-    if k >= 1:
-        h_k = symmetry._maps[-1]
-        phi_k = eq._components[-1]
-        worst = 0.0
-        for z in probe_set(eq).points:
-            lhs = c * h_k(z)
-            rhs = phi_k(z)
-            worst = max(worst, abs(lhs - rhs) / (1 + abs(rhs)))
-        if worst > max(tol, 1e-9):
-            raise FactorizationError(
-                f"closing identity c*h_k = phi_k fails with residual {worst:.3e}"
-            )
     factor = DifferenceEquation(
         1, GroupTag.ADDITIVE_COMPLEX, Linear((-c,), eq.kind.forcing), eq.params, eq.name, var="z"
     )

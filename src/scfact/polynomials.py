@@ -197,7 +197,7 @@ def find_roots(p: Polynomial, tol: float = 1e-8, max_iterations: int = 500) -> R
             for l in range(d):
                 if l != j:
                     diff = roots[j] - roots[l]
-                    if diff == 0:
+                    if diff == 0:  # untested: no known input makes two iterates meet exactly
                         diff = 1e-12 * (1 + abs(roots[j]))
                     denom *= diff
             step = monic(roots[j]) / denom
@@ -258,7 +258,7 @@ def _newton(p: Polynomial, dp: Polynomial, z: complex, iterations: int) -> compl
     best = abs(p(z))
     for _ in range(iterations):
         slope = dp(z)
-        if slope == 0:
+        if slope == 0:  # untested: no known input lands exactly on a critical point
             break
         cand = z - p(z) / slope
         resid = abs(p(cand))

@@ -186,6 +186,14 @@ class TestVerify:
         assert result.exit_code == 1
         assert "residual" in result.output
 
+    def test_injected_additive_constant_reaches_both_verdicts(self, runner):
+        result = runner.invoke(main, ["verify", eq("lin2_sep.eq"), "--constant", "0.5,0"])
+        assert result.exit_code == 1
+        assert result.output == (
+            "semiconjugacy: FAIL (200 samples, max residual 1.342e+00)\n"
+            "equivalence: FAIL (20 of 20 trials) (20 trials x 100 steps, max residual 5.633e+09)\n"
+        )
+
     def test_linear_verifies_cascade(self, runner):
         result = runner.invoke(main, ["verify", eq("lin_32.eq"), "--trials", "5", "--steps", "30"])
         assert result.exit_code == 0
@@ -654,3 +662,13 @@ def test_a_command_runs_only_the_modules_it_uses(args, ran):
     result = subprocess.run([sys.executable, "-c", RUN_CLI, *args], cwd=EQUATIONS_DIR, env=env,
                             capture_output=True, text=True, timeout=30)
     assert result.stdout.splitlines()[-1] == ran, result.stderr
+
+
+def test_importing_the_cli_from_the_package_runs_no_library_module():
+    src = str(Path(scfact.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, types\nfrom scfact import cli\n"
+            "print(*sorted(name for name, module in sys.modules.items()\n"
+            "              if name.startswith('scfact.') and type(module) is types.ModuleType))")
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=30)
+    assert result.stdout.split() == ["scfact.cli"], result.stderr

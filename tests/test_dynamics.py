@@ -51,6 +51,21 @@ class TestFixedPoints:
         with pytest.raises(ValueError, match="autonomous"):
             find_fixed_points(general_equation("x0 + n", 1), (0, 1))
 
+    def test_decreasing_interval_rejected(self):
+        with pytest.raises(ValueError, match="interval must be increasing"):
+            find_fixed_points(general_equation("x0", 1), (1, 0))
+
+    def test_sample_with_a_domain_error_is_skipped(self):
+        # f(x) - x = 1/x - 1; the sample x = 0 divides by zero.
+        scan = find_fixed_points(general_equation("x0 + 1/x0 - 1", 1), (-1, 1))
+        assert scan.points == (1.0,)
+
+    def test_bisection_stops_at_a_non_real_midpoint(self):
+        # f(x) - x = x / sqrt(x^2 - 1e-8) changes sign across |x| < 1e-4,
+        # where it is not real; the bisection ends inside that gap.
+        scan = find_fixed_points(general_equation("x0 + x0/sqrt(x0^2 - 1e-8)", 1), (-1, 2))
+        assert len(scan.points) == 1 and abs(scan.points[0]) < 1e-4
+
 
 class TestLinearization:
     def test_example4_interior_fixed_point(self):
@@ -184,6 +199,13 @@ class TestLocus:
             assert orbit.truncated_at is None
             report = factor_locus(fact, orbit, tol=1e-6)
             assert report.passed, (x_m1, x_0, report.worst_residual)
+
+    def test_raising_cofactor_is_an_infinite_residual(self):
+        # The orbit reaches x = 0, where exp's cofactor t/(x^-1*exp(-x)^-1) divides by zero.
+        _, fact = _exp_factorization()
+        orbit = iterate_orbit(general_equation("x0 - 1", 2, GroupTag.ADDITIVE_REAL), (3.0, 2.0), 5)
+        report = factor_locus(fact, orbit)
+        assert not report.passed and report.worst_residual == math.inf
 
     def test_hs3_orbit_visits_six_curves(self):
         eq = make_hs3()

@@ -15,6 +15,7 @@ from scfact.expressions import (
     ParseError,
     UnboundVariableError,
     Var,
+    as_expression,
     evaluate,
     format_expression,
     lower,
@@ -127,6 +128,11 @@ class TestParsing:
 
     def test_largest_finite_literal_parses(self):
         assert parse_expression("1.7976931348623157e308") == Const(1.7976931348623157e308)
+
+
+    def test_missing_close_paren(self):
+        with pytest.raises(ParseError, match="expected '\\)'"):
+            parse_expression("(x + 1")
 
 
 class TestEvaluation:
@@ -420,3 +426,13 @@ def test_substitute_replaces_variables():
     swapped = substitute(e, {"x0": Var("u"), "x1": parse_expression("u + v")})
     assert swapped.free_variables() == {"u", "v"}
     assert evaluate(swapped, {"u": 1, "v": 2}) == 1 + 2 * 3
+
+
+def test_str_formats_and_non_expressions_are_rejected():
+    assert str(Var("x") + 1) == "x + 1"
+    with pytest.raises(TypeError, match="cannot treat 'x' as an expression"):
+        as_expression("x")
+    with pytest.raises(TypeError, match="not an expression: 'x'"):
+        substitute(Neg("x"), {})
+    with pytest.raises(TypeError, match="not an expression: 'x'"):
+        format_expression(Neg("x"))

@@ -170,10 +170,15 @@ class TestFactorSeparableAdditive:
         # z_0 = x_0 + h_1(x_{-1}) = x_0 - q x_{-1}
         assert fact.factor_initial_values((3.0, 5.0)) == (5 - q * 3,)
 
-    def test_closing_identity_guards_bad_constant(self):
+    def test_unvalidated_bad_constant_builds_and_fails_both_verifiers(self):
+        """Without validation a wrong constant still factors; the verifiers,
+        not the construction, report it."""
         sep = as_separable_additive(linear_equation([-3, 2]))
-        with pytest.raises(FactorizationError, match="closing identity"):
-            factor_separable_additive(sep, 0.5, validate=False)
+        fact = factor_separable_additive(sep, 0.5, validate=False)
+        assert fact.symmetry.constant == 0.5
+        assert not verify_semiconjugacy(sep, fact.symmetry, fact.factor, 200, 1e-9, seed=1).passed
+        summary = verify_trials(sep, fact, trials=5, steps=30)
+        assert summary.failures == 5 and summary.max_residual > 1e-9
 
     def test_wrong_kind_rejected(self):
         with pytest.raises(TypeError):
@@ -235,6 +240,13 @@ class TestFactorSeparableMultiplicative:
     def test_real_constant_keeps_positive_group(self):
         fact = factor_separable_multiplicative(make_exp(4.6), -1.0)
         assert fact.factor.group is GroupTag.MULTIPLICATIVE_POSITIVE
+
+
+    def test_component_overflowing_at_a_probe_point_is_rejected(self):
+        # h_1(t) = t^1000 / t underflows to 0 below t = 0.5 and overflows above t = 2.1.
+        eq = separable_multiplicative_equation(["x", "x"], "1")
+        with pytest.raises(FactorizationError, match="component h_1 leaves the carrier"):
+            factor_separable_multiplicative(eq, 1000, validate=False)
 
 
 class TestTriangular:
@@ -324,6 +336,13 @@ class TestTriangular:
         system = factor_linear_full(eq)
         orbit, _ = system.simulate((0, 0), 6)
         assert [round(v.real, 9) for v in orbit.values] == [1, 2, 3, 4, 5, 6]
+
+    def test_counts_are_checked(self):
+        eq = linear_equation([-3, 2])
+        with pytest.raises(ValueError, match="expected 2 eigenvalues, got 1"):
+            factor_linear_full(eq, root_order=[1])
+        with pytest.raises(ValueError, match="expected 2 initial values"):
+            factor_linear_full(eq).stage_initial_values((1,))
 
     def test_requires_linear(self):
         with pytest.raises(TypeError):
@@ -571,6 +590,15 @@ class TestSimulateAndEquivalence:
         assert (report.passed, report.failure_index) == (False, 0)
         assert report.note == "domain error on the factorization path: division by zero in '1/(x1 - 1)'"
 
+    def test_wrong_number_of_initial_values_rejected(self):
+        fact = factor_separable_additive(as_separable_additive(linear_equation([-3, 2])), 1.0)
+        with pytest.raises(ValueError, match="expected 2 inputs, got 3"):
+            fact.factor_initial_values((1, 2, 3))
+
+    def test_empty_cascade_rejected(self):
+        with pytest.raises(ValueError, match="at least one factorization stage"):
+            simulate_cascade([], (0, 1), 5)
+
     def test_cascade_stage_mismatch_rejected(self):
         outer = factor_hd1(make_hs3())
         bad_inner = factor_separable_multiplicative(make_exp(4.6), -1.0)
@@ -781,6 +809,11 @@ def test_render_triangular_mentions_eigenvalues():
     text = render_triangular_system(factor_linear_full(linear_equation([-3, 2])))
     assert "characteristic polynomial" in text
     assert "stage 0" in text and "stage 1" in text
+
+
+def test_render_triangular_skips_zero_coefficients():
+    text = render_triangular_system(factor_linear_full(linear_equation([0, -1])))
+    assert "characteristic polynomial: z^2 + -1\n" in text
 
 
 def test_make_factorization_checks_arity():

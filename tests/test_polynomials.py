@@ -44,7 +44,24 @@ class TestCharacteristicPolynomial:
         assert p(0) == 0
 
 
+def test_polynomial_input_checks():
+    assert Polynomial((1, 2, 0, 0)).coefficients == (1, 2)
+    with pytest.raises(ValueError, match="zero polynomial"):
+        Polynomial((0, 0))
+    with pytest.raises(ValueError, match="zero derivative"):
+        Polynomial((3,)).derivative()
+    with pytest.raises(TypeError, match="requires a linear equation"):
+        characteristic_polynomial(load_equation_file(EQUATIONS_DIR / "exp.eq"))
+
+
 class TestFindRoots:
+    def test_root_where_a_taylor_coefficient_vanishes(self):
+        # z^3 - z: at the root 0 the second Taylor coefficient 3z is 0, so
+        # the cluster test skips that order.
+        rs = find_roots(Polynomial((0, -1, 0, 1)))
+        assert sorted(e.value.real for e in rs.entries) == [-1, 0, 1]
+        assert all(e.multiplicity == 1 for e in rs.entries)
+
     def test_one_and_two(self):
         rs = find_roots(Polynomial((2, -3, 1)))
         roots = rs.expanded()

@@ -22,6 +22,7 @@ from scfact import (
     load_equation_file,
     as_separable_additive,
     separable_additive_equation,
+    separable_multiplicative_equation,
     solve_reduction_constant,
 )
 from scfact.expressions import Call, DomainError, EvaluationError, Var, evaluate, parse_expression, substitute
@@ -226,6 +227,23 @@ class TestReductionConstants:
         with pytest.raises(TypeError):
             solve_reduction_constant(make_2hd1())
 
+    def test_residual_of_a_general_equation_rejected(self):
+        with pytest.raises(TypeError, match="require a separable equation"):
+            reduction_residual(make_2hd1(), 1.0)
+
+    def test_root_finding_overflow_on_every_probe_gives_no_constants(self):
+        """Each probe polynomial is z (c^2 - 1e200 c - 1): Durand-Kerner
+        overflows on all 32, so there is no start and no constant."""
+        eq = separable_additive_equation(["1e200*x", "x"])
+        assert solve_reduction_constant(eq).constants == ()
+
+    @pytest.mark.parametrize("equation", [separable_additive_equation, separable_multiplicative_equation])
+    def test_probe_points_skip_overflowing_components(self, equation):
+        # 1e308*x^3 overflows wherever |x| >= 1.5, where many draws lie.
+        points = probe_set(equation(["1e308*x*x*x", "x"])).points
+        assert len(points) == symmetry._PROBE_COUNT
+        assert max(abs(z) for z in points) < 1.5
+
 
 class TestBuildAdditive:
     def test_lin2_symmetry_with_c_one(self):
@@ -301,11 +319,21 @@ class TestBuildMultiplicative:
         with pytest.raises(ConstantValidationError):
             build_multiplicative_form_symmetry(make_exp(4.6), 0.5)
 
+    def test_wrong_kind_rejected(self):
+        with pytest.raises(TypeError, match="requires a separable-multiplicative equation"):
+            build_multiplicative_form_symmetry(separable_additive_equation(["x", "x"]), 1.0)
+
     def test_log_domain_residual_small_for_valid_constant(self):
         assert reduction_residual(make_exp(4.6), -1.0) < 1e-10
 
 
 class TestEvaluateFormSymmetry:
+    def test_output_count_is_checked(self):
+        with pytest.raises(ValueError, match="unary-component symmetries have m = 1"):
+            FormSymmetry(2, GroupTag.ADDITIVE_COMPLEX, UnaryComponents((Var("x"),)))
+        with pytest.raises(ValueError, match="m must be at least 1"):
+            FormSymmetry(0, GroupTag.ADDITIVE_COMPLEX, Inversion())
+
     def test_inversion_additive_differences(self):
         sym = FormSymmetry(2, GroupTag.ADDITIVE_REAL, Inversion())
         assert evaluate_form_symmetry(sym, (5, 3, 1)) == (2, 2)
@@ -532,3 +560,20 @@ def test_draws_skip_failed_draws_and_stop_at_the_budget():
     assert _draws(Random(0), 1, 4, drawer([7]), spent) == [7]
     with pytest.raises(SymmetryError, match="spent"):
         _draws(Random(0), 2, 3, drawer([1, None, "error", 2]), spent)
+
+
+def test_probe_seed_keeps_every_draw_away_from_degenerate_points():
+    """The probe set draws from a fixed seed and has no guard for a point
+    near z = 0 or t = 1, where the probe polynomial loses its leading
+    coefficient.  Each draw takes the same uniforms whether or not it is
+    kept, so these are all the points any equation can get."""
+    budget = 10 * symmetry._PROBE_COUNT
+    rng = Random(symmetry._PROBE_SEED)
+    additive = [complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(budget)]
+    rng = Random(symmetry._PROBE_SEED)
+    multiplicative = [complex(math.exp(rng.uniform(-3, 3))) for _ in range(budget)]
+    count = symmetry._PROBE_COUNT
+    assert probe_set(separable_additive_equation(["3*x", "-2*x"])).points == tuple(additive[:count])
+    assert probe_set(make_exp(4.6)).points == tuple(multiplicative[:count])
+    assert min(abs(z) for z in additive) >= 0.1
+    assert min(abs(cmath.log(t)) for t in multiplicative) >= 1e-9
